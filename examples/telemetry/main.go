@@ -9,8 +9,8 @@
 //   - a JSONL sink exporting every framework event to a trace file, which
 //     the program re-reads and decodes afterwards (the -trace machinery of
 //     cmd/experiments, in miniature);
-//   - a ring buffer keeping the most recent events in memory, the shape an
-//     always-on service would expose from a debug endpoint;
+//   - a flight recorder keeping the most recent events in memory, the
+//     shape an always-on service exposes from its /events debug endpoint;
 //   - a shared metrics registry, rendered as a Prometheus-text summary and
 //     published through expvar;
 //   - the live introspection server of internal/diag, served on a loopback
@@ -61,7 +61,7 @@ func main() {
 		}
 	}
 
-	// Observability wiring: JSONL trace file + in-memory ring + metrics.
+	// Observability wiring: JSONL trace file + flight recorder + metrics.
 	tracePath := filepath.Join(os.TempDir(), "telemetry-trace.jsonl")
 	f, err := os.Create(tracePath)
 	if err != nil {
@@ -69,8 +69,7 @@ func main() {
 		os.Exit(1)
 	}
 	jsonl := obs.NewJSONLSink(f)
-	ring := obs.NewRingSink(8)
-	recorder := obs.NewFlightRecorder(32) // feeds the diag /events endpoint
+	recorder := obs.NewFlightRecorder(32) // also feeds the diag /events endpoint
 	metrics := obs.NewRegistry()
 	metrics.PublishExpvar("collectionswitch") // curl /debug/vars in a real service
 
@@ -85,7 +84,7 @@ func main() {
 		// Figure 7 overhead argument.
 		AnalysisSpans: true,
 		Name:          "telemetry",
-		Sink:          obs.Multi(jsonl, ring, recorder),
+		Sink:          obs.Multi(jsonl, recorder),
 		Metrics:       metrics,
 	})
 	server := diag.New(metrics, recorder)
@@ -119,7 +118,7 @@ func main() {
 			engine.AnalyzeNow()
 		}
 	}
-	engine.Close() // emits EngineClosed into both sinks
+	engine.Close() // emits EngineClosed into every sink
 
 	fmt.Printf("alerts observed: %d\n", alerts)
 	fmt.Printf("alert-set variant under %s: %s\n",
@@ -160,11 +159,13 @@ func main() {
 			spans, spanNs/int64(spans))
 	}
 
-	// 2. The ring buffer holds the most recent events — what a debug
-	// endpoint would show without retaining the full history.
-	fmt.Printf("\nring buffer: last %d of %d events\n", ring.Len(), ring.Total())
-	for _, ev := range ring.Events() {
-		fmt.Printf("  [%s] %s\n", ev.EventKind(), obs.Line(ev))
+	// 2. The flight recorder holds the most recent events — what a debug
+	// endpoint shows without retaining the full history.
+	recent := recorder.Snapshot()
+	recent = recent[max(0, len(recent)-8):]
+	fmt.Printf("\nflight recorder: last %d of %d events\n", len(recent), recorder.Total())
+	for _, te := range recent {
+		fmt.Printf("  [%s] %s\n", te.Event.EventKind(), obs.Line(te.Event))
 	}
 
 	// 3. The metrics registry summarizes the run; the monitored fraction is

@@ -194,37 +194,57 @@ func (e *Env) Checkpoint() {
 	}
 }
 
-// Obs threads the observability layer through an application run: Label
-// names the run's engine in emitted events (the experiments use
-// "app/mode/rule"), Sink receives every engine event, and Metrics
-// aggregates counters across runs. The zero value disables all three.
+// Obs is the one path by which callers configure the engines of
+// application runs and of the experiments built on them (cmd/experiments
+// fills it from its flags). NewEngine turns it into a core.Config, so a new
+// engine knob is one field here and one line there. The zero value
+// configures nothing beyond each run's own settings.
 type Obs struct {
-	Label   string
+	// Label names the engine in emitted events (the Table 5 machinery
+	// uses "app/mode/rule").
+	Label string
+	// Sink receives every engine event; Metrics aggregates counters across
+	// runs.
 	Sink    obs.Sink
 	Metrics *obs.Registry
-	// Parallelism is handed to the engine as Config.AnalysisParallelism:
-	// 0 uses the engine default (GOMAXPROCS); 1 analyzes contexts
-	// sequentially in registration order, reproducing the historical
-	// single-threaded event stream exactly.
+	// Parallelism is Config.AnalysisParallelism: 0 uses the engine default
+	// (GOMAXPROCS); 1 analyzes contexts sequentially in registration
+	// order, reproducing the historical single-threaded event stream.
 	Parallelism int
-	// Confidence is handed to the engine as Config.ConfidenceLevel: a
-	// level in (0, 1) arms confidence-aware switching, 0 keeps the
-	// historical point-estimate behavior.
+	// Confidence is Config.ConfidenceLevel: a level in (0, 1) arms
+	// confidence-aware switching, 0 keeps point-estimate switching.
 	Confidence float64
-	// Models overrides the engine's cost models (nil = analytic defaults).
+	// Models is Config.Models (nil = analytic defaults).
 	Models *perfmodel.Models
-	// WarmStart is handed to the engine as Config.WarmStart: persisted
-	// site decisions restore variants at context registration (nil = cold
-	// start, the historical behavior).
+	// WarmStart is Config.WarmStart: persisted site decisions restore
+	// variants at context registration (nil = cold start).
 	WarmStart core.WarmStarter
 	// Snapshots, when non-nil, receives the engine's per-site state after
-	// the run completes (before the engine closes) — the hook cmd tools
-	// use to persist decisions into a warm-start store.
+	// a run completes (before the engine closes) — the hook cmd tools use
+	// to persist decisions into a warm-start store.
 	Snapshots func([]core.SiteSnapshot)
-	// EngineHook, when non-nil, observes the run's engine right after
-	// construction (FullAdap mode only; the other modes create none) —
-	// the diag introspection server attaches here.
+	// EngineHook, when non-nil, observes every engine right after
+	// construction — the diag introspection server attaches here.
 	EngineHook func(*core.Engine)
+}
+
+// NewEngine returns a manual engine configured by base with o applied on
+// top: Label names it, o.Sink receives its events after any sink in base,
+// and the knobs above replace base's. EngineHook sees the engine before it
+// is returned.
+func (o Obs) NewEngine(base core.Config) *core.Engine {
+	base.Name = o.Label
+	base.Sink = obs.Multi(base.Sink, o.Sink)
+	base.Metrics = o.Metrics
+	base.AnalysisParallelism = o.Parallelism
+	base.ConfidenceLevel = o.Confidence
+	base.Models = o.Models
+	base.WarmStart = o.WarmStart
+	e := core.NewEngineManual(base)
+	if o.EngineHook != nil {
+		o.EngineHook(e)
+	}
+	return e
 }
 
 // Run executes app once in the given mode and returns its measurements.
@@ -233,32 +253,23 @@ func Run(app App, mode Mode, rule core.Rule, seed int64) Result {
 	return RunObs(app, mode, rule, seed, Obs{})
 }
 
-// RunObs is Run with observability wiring. In FullAdap mode the engine's
-// structured event stream is always collected — Result.Transitions is
-// rebuilt from the Transition events rather than read out of engine
-// internals, so everything Table 6 aggregates demonstrably travels on the
-// event layer.
+// RunObs is Run with its engine configured by o (FullAdap mode only; the
+// other modes create none). The engine's structured event stream is
+// always collected — Result.Transitions is rebuilt from the Transition
+// events rather than read out of engine internals, so everything Table 6
+// aggregates demonstrably travels on the event layer.
 func RunObs(app App, mode Mode, rule core.Rule, seed int64, o Obs) Result {
 	var engine *core.Engine
 	var col *obs.Collector
 	if mode == ModeFullAdap {
 		col = obs.NewCollector()
-		engine = core.NewEngineManual(core.Config{
-			WindowSize:          100,
-			FinishedRatio:       0.6,
-			Rule:                rule,
-			Models:              o.Models,
-			AnalysisParallelism: o.Parallelism,
-			ConfidenceLevel:     o.Confidence,
-			Name:                o.Label,
-			Sink:                obs.Multi(col, o.Sink),
-			Metrics:             o.Metrics,
-			WarmStart:           o.WarmStart,
+		engine = o.NewEngine(core.Config{
+			WindowSize:    100,
+			FinishedRatio: 0.6,
+			Rule:          rule,
+			Sink:          col,
 		})
 		defer engine.Close()
-		if o.EngineHook != nil {
-			o.EngineHook(engine)
-		}
 	}
 	env := NewEnv(mode, engine, seed)
 	start := time.Now()

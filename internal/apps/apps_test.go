@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/collections"
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/perfmodel"
 )
 
 func TestAllAppsRunInAllModes(t *testing.T) {
@@ -188,8 +190,7 @@ func TestMeasureAppQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 5 measurement is slow")
 	}
-	cfg := RunConfig{Scale: 0.05, Warmup: 1, Measured: 3, Seed: 1}
-	row := MeasureApp(NewAvrora(cfg.Scale), cfg)
+	row := MeasureApp(NewAvrora(0.05), 1, 3, Obs{})
 	if row.App != "avrora" {
 		t.Fatalf("App = %s", row.App)
 	}
@@ -203,6 +204,47 @@ func TestMeasureAppQuick(t *testing.T) {
 		if ts <= 0 {
 			t.Fatal("non-positive time measured")
 		}
+	}
+}
+
+// emptyWarmStore is a WarmStarter that knows no site.
+type emptyWarmStore struct{}
+
+func (emptyWarmStore) WarmLookup(string) (core.WarmDecision, bool) { return core.WarmDecision{}, false }
+
+// TestObsReachesEngine pins the one engine-config path: every engine knob
+// set on Obs arrives in the Config of the engine a run builds, and the
+// run's own settings survive.
+func TestObsReachesEngine(t *testing.T) {
+	models := perfmodel.Default()
+	reg := obs.NewRegistry()
+	col := obs.NewCollector()
+	var got core.Config
+	var snaps int
+	o := Obs{
+		Label:       "probe",
+		Sink:        col,
+		Metrics:     reg,
+		Parallelism: 3,
+		Confidence:  0.9,
+		Models:      models,
+		WarmStart:   emptyWarmStore{},
+		Snapshots:   func([]core.SiteSnapshot) { snaps++ },
+		EngineHook:  func(e *core.Engine) { got = e.Config() },
+	}
+	RunObs(NewAvrora(0.02), ModeFullAdap, core.Ralloc(), 1, o)
+	if got.Name != "probe" || got.Metrics != reg || got.AnalysisParallelism != 3 ||
+		got.ConfidenceLevel != 0.9 || got.Models != models || got.WarmStart != (emptyWarmStore{}) {
+		t.Errorf("engine config lost an Obs knob: %+v", got)
+	}
+	if got.Rule.Name != "Ralloc" || got.WindowSize != 100 || got.FinishedRatio != 0.6 {
+		t.Errorf("run settings overridden: rule %s, window %d, finished %v", got.Rule.Name, got.WindowSize, got.FinishedRatio)
+	}
+	if len(col.Events()) == 0 {
+		t.Error("Obs.Sink received no events")
+	}
+	if snaps != 1 {
+		t.Errorf("Snapshots called %d times, want 1", snaps)
 	}
 }
 
@@ -252,8 +294,7 @@ func TestRunOverheadQuick(t *testing.T) {
 	}
 	// Structural check of the Section 5.3 machinery at tiny scale (the
 	// significance verdicts at this scale are not meaningful).
-	cell := measureCell(NewAvrora(0.05), ModeFullAdap, core.ImpossibleRule(),
-		RunConfig{Scale: 0.05, Warmup: 0, Measured: 3, Seed: 1})
+	cell := measureCell(NewAvrora(0.05), ModeFullAdap, core.ImpossibleRule(), 0, 3, Obs{})
 	if len(cell.TimesSec) != 3 {
 		t.Fatalf("measured %d runs", len(cell.TimesSec))
 	}

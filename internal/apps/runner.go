@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/perfmodel"
 	"repro/internal/stats"
 )
 
@@ -49,74 +47,18 @@ type Row struct {
 	T1, M1, T2, M2, T3, M3 Delta
 }
 
-// RunConfig parametrizes the Table 5 experiment.
-type RunConfig struct {
-	// Scale scales the synthetic workloads (1.0 = full experiment).
-	Scale float64
-	// Warmup runs are executed and discarded; Measured runs are kept.
-	// The paper uses 5 and 30.
-	Warmup, Measured int
-	// Seed drives the deterministic workloads.
-	Seed int64
-	// Sink, when non-nil, receives the engine events of every measured
-	// run (warm-up runs are not traced, so an exported trace reconstructs
-	// exactly what the printed tables aggregated). Engines are labeled
-	// "app/mode/rule".
-	Sink obs.Sink
-	// Metrics, when non-nil, aggregates engine counters across the
-	// measured runs.
-	Metrics *obs.Registry
-	// Parallelism bounds each run engine's analysis worker pool
-	// (Config.AnalysisParallelism). 0 uses the engine default (GOMAXPROCS);
-	// 1 reproduces the historical sequential event ordering.
-	Parallelism int
-	// Confidence arms confidence-aware switching on every run engine
-	// (Config.ConfidenceLevel; 0 = point-estimate switching).
-	Confidence float64
-	// Models overrides the cost models of every run engine (nil = the
-	// analytic defaults).
-	Models *perfmodel.Models
-	// WarmStart supplies persisted site decisions to every measured run's
-	// engine (nil = cold starts). Snapshots, when non-nil, receives each
-	// measured run's per-site state — together they let cmd/experiments
-	// demonstrate cold vs warm behavior against a tuner.Store.
-	WarmStart core.WarmStarter
-	Snapshots func([]core.SiteSnapshot)
-	// EngineHook observes every measured run's engine right after
-	// construction (see apps.Obs.EngineHook).
-	EngineHook func(*core.Engine)
-}
-
-// DefaultRunConfig returns the paper's run counts at full scale.
-func DefaultRunConfig() RunConfig {
-	return RunConfig{Scale: 1.0, Warmup: 5, Measured: 30, Seed: 1}
-}
-
-// QuickRunConfig returns a reduced configuration for tests and benches.
-func QuickRunConfig() RunConfig {
-	return RunConfig{Scale: 0.1, Warmup: 1, Measured: 5, Seed: 1}
-}
-
-// measureCell runs app cfg.Measured times (after warm-up) in the given mode
-// and aggregates the measurements.
-func measureCell(app App, mode Mode, rule core.Rule, cfg RunConfig) Cell {
+// measureCell runs app measured times, after warmup discarded runs, in the
+// given mode and aggregates the measurements. Every run uses workload seed
+// 1. Only the measured runs get o's wiring, labeled "app/mode/rule", so an
+// exported trace reconstructs exactly what the printed tables aggregated.
+func measureCell(app App, mode Mode, rule core.Rule, warmup, measured int, o Obs) Cell {
 	cell := Cell{TransitionCounts: make(map[string]int)}
-	for i := 0; i < cfg.Warmup; i++ {
-		Run(app, mode, rule, cfg.Seed)
+	for i := 0; i < warmup; i++ {
+		Run(app, mode, rule, 1)
 	}
-	o := Obs{
-		Label:       fmt.Sprintf("%s/%s/%s", app.Name(), mode, rule.Name),
-		Sink:        cfg.Sink,
-		Metrics:     cfg.Metrics,
-		Parallelism: cfg.Parallelism,
-		Confidence:  cfg.Confidence,
-		Models:      cfg.Models,
-		WarmStart:   cfg.WarmStart,
-		Snapshots:   cfg.Snapshots,
-		EngineHook:  cfg.EngineHook,
-	}
-	for i := 0; i < cfg.Measured; i++ {
-		res := RunObs(app, mode, rule, cfg.Seed, o)
+	o.Label = fmt.Sprintf("%s/%s/%s", app.Name(), mode, rule.Name)
+	for i := 0; i < measured; i++ {
+		res := RunObs(app, mode, rule, 1, o)
 		cell.TimesSec = append(cell.TimesSec, res.Elapsed.Seconds())
 		cell.PeaksMB = append(cell.PeaksMB, float64(res.PeakHeapBytes)/(1024*1024))
 		for _, tr := range res.Transitions {
@@ -133,16 +75,18 @@ func delta(original, modified []float64) Delta {
 	return Delta{Significant: sig, ImprovementPct: -rel * 100}
 }
 
-// MeasureApp produces one Table 5 row for app.
-func MeasureApp(app App, cfg RunConfig) Row {
+// MeasureApp produces one Table 5 row for app: warmup discarded and
+// measured kept runs per cell (the paper uses 5 and 30), with o configuring
+// the measured runs' engines.
+func MeasureApp(app App, warmup, measured int, o Obs) Row {
 	row := Row{App: app.Name()}
-	row.Original = measureCell(app, ModeOriginal, core.Rtime(), cfg)
-	row.FullTime = measureCell(app, ModeFullAdap, core.Rtime(), cfg)
-	row.FullAlloc = measureCell(app, ModeFullAdap, core.Ralloc(), cfg)
-	row.Instance = measureCell(app, ModeInstanceAdap, core.Rtime(), cfg)
+	row.Original = measureCell(app, ModeOriginal, core.Rtime(), warmup, measured, o)
+	row.FullTime = measureCell(app, ModeFullAdap, core.Rtime(), warmup, measured, o)
+	row.FullAlloc = measureCell(app, ModeFullAdap, core.Ralloc(), warmup, measured, o)
+	row.Instance = measureCell(app, ModeInstanceAdap, core.Rtime(), warmup, measured, o)
 
 	// Count sites from a probe run.
-	env := NewEnv(ModeOriginal, nil, cfg.Seed)
+	env := NewEnv(ModeOriginal, nil, 1)
 	app.Run(env)
 	row.Sites = env.SiteCount()
 
@@ -155,11 +99,12 @@ func MeasureApp(app App, cfg RunConfig) Row {
 	return row
 }
 
-// MeasureAll produces the full Table 5 for every application.
-func MeasureAll(cfg RunConfig) []Row {
+// MeasureAll produces the full Table 5 for every application at the given
+// workload scale (1.0 = full experiment).
+func MeasureAll(scale float64, warmup, measured int, o Obs) []Row {
 	var rows []Row
-	for _, app := range All(cfg.Scale) {
-		rows = append(rows, MeasureApp(app, cfg))
+	for _, app := range All(scale) {
+		rows = append(rows, MeasureApp(app, warmup, measured, o))
 	}
 	return rows
 }

@@ -83,7 +83,10 @@ func TestListContextWithVariantsDefaultIsFirst(t *testing.T) {
 	if got := ctx.CurrentVariant(); got != collections.LinkedListID {
 		t.Fatalf("default = %s, want first supplied variant", got)
 	}
-	if _, ok := ctx.NewList().(*monitoredList[int]); !ok {
+	// The monitor form follows GOMAXPROCS: plain on one P, striped above.
+	switch ctx.NewList().(type) {
+	case *monitoredList[int], *stripedList[int]:
+	default:
 		t.Fatal("instances not monitored")
 	}
 }

@@ -109,11 +109,6 @@ type Config struct {
 	// Metrics receives the engine's counters and histograms. Nil gets a
 	// private registry; pass a shared one to aggregate across engines.
 	Metrics *obs.Registry
-	// Logf, when non-nil, receives framework trace events in legacy
-	// printf form; it is adapted onto the event stream via obs.LogfSink
-	// and renders the historical lines byte-identically. The callback
-	// runs on the analysis goroutine; keep it fast.
-	Logf func(format string, args ...any)
 }
 
 // withDefaults fills unset fields with the paper's settings and reports the
@@ -220,7 +215,7 @@ type analyzable interface {
 // against it.
 type Engine struct {
 	cfg     Config
-	sink    obs.Sink      // resolved sink (Config.Sink + Logf adapter); nil disables events
+	sink    obs.Sink      // Config.Sink; nil disables events
 	metrics *obs.Registry // never nil
 
 	// models is the hot-swappable cost-model handle (Config.Models at
@@ -282,13 +277,9 @@ func newEngine(cfg Config) *Engine {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	sink := cfg.Sink
-	if cfg.Logf != nil {
-		sink = obs.Multi(sink, obs.NewLogfSink(cfg.Logf))
-	}
 	e := &Engine{
 		cfg:     cfg,
-		sink:    sink,
+		sink:    cfg.Sink,
 		metrics: cfg.Metrics,
 		names:   make(map[string]int),
 		stop:    make(chan struct{}),

@@ -5,9 +5,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
-// traceSink collects Logf events for assertions.
+// traceSink collects the printf rendering of events (obs.LogfSink) for
+// assertions.
 type traceSink struct {
 	mu    sync.Mutex
 	lines []string
@@ -32,7 +35,7 @@ func TestTraceLogEvents(t *testing.T) {
 		FinishedRatio:   0.6,
 		Rule:            Rtime(),
 		CooldownWindows: -1,
-		Logf:            sink.logf,
+		Sink:            obs.NewLogfSink(sink.logf),
 	})
 	defer e.Close()
 	ctx := NewListContext[int](e, WithName("trace:list"))
@@ -52,7 +55,8 @@ func TestTraceLogEvents(t *testing.T) {
 }
 
 func TestNoTraceWithoutLogf(t *testing.T) {
-	// Tracing disabled must not panic anywhere on the event paths.
+	// With no Sink, tracing is disabled and must not panic anywhere on the
+	// event paths.
 	e := NewEngineManual(Config{WindowSize: 10, CooldownWindows: -1})
 	defer e.Close()
 	ctx := NewListContext[int](e)

@@ -90,18 +90,27 @@ type sinkFunc func(Event)
 
 func (f sinkFunc) Emit(e Event) { f(e) }
 
+// snapshotEvents drops the flight recorder's timestamps.
+func snapshotEvents(r *FlightRecorder) []Event {
+	var out []Event
+	for _, te := range r.Snapshot() {
+		out = append(out, te.Event)
+	}
+	return out
+}
+
 // TestRingAndCollectorBatch pins batched delivery on the in-memory sinks:
 // order preserved, eviction identical to per-event emission.
 func TestRingAndCollectorBatch(t *testing.T) {
 	events := numberedEvents(10)
 
-	perEvent := NewRingSink(4)
-	batched := NewRingSink(4)
+	perEvent := NewFlightRecorder(4)
+	batched := NewFlightRecorder(4)
 	for _, e := range events {
 		perEvent.Emit(e)
 	}
 	batched.EmitBatch(events)
-	if got, want := eventOrder(t, batched.Events()), eventOrder(t, perEvent.Events()); strings.Join(got, ",") != strings.Join(want, ",") {
+	if got, want := eventOrder(t, snapshotEvents(batched)), eventOrder(t, snapshotEvents(perEvent)); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("ring batched = %v, per-event = %v", got, want)
 	}
 	if batched.Total() != perEvent.Total() {
@@ -146,12 +155,12 @@ func TestFlightRecorderBatch(t *testing.T) {
 func TestMultiSinkBatchAndFlush(t *testing.T) {
 	var buf bytes.Buffer
 	jsonl := NewJSONLSink(&buf)
-	ring := NewRingSink(100)
-	m := Multi(jsonl, ring)
+	col := NewCollector()
+	m := Multi(jsonl, col)
 	events := numberedEvents(8)
 	EmitAll(m, events)
-	if got := eventOrder(t, ring.Events()); strings.Join(got, ",") != strings.Join(eventOrder(t, events), ",") {
-		t.Errorf("ring via multi = %v, want %v", got, eventOrder(t, events))
+	if got := eventOrder(t, col.Events()); strings.Join(got, ",") != strings.Join(eventOrder(t, events), ",") {
+		t.Errorf("collector via multi = %v, want %v", got, eventOrder(t, events))
 	}
 	if buf.Len() != 0 {
 		t.Fatal("JSONL buffer drained before flush — expected buffering")
@@ -167,8 +176,8 @@ func TestMultiSinkBatchAndFlush(t *testing.T) {
 		t.Errorf("JSONL via multi = %v, want %v", gotOrder, eventOrder(t, events))
 	}
 	// FlushSink on a non-buffering sink is a no-op, not an error.
-	if err := FlushSink(ring); err != nil {
-		t.Errorf("FlushSink(ring) = %v, want nil", err)
+	if err := FlushSink(col); err != nil {
+		t.Errorf("FlushSink(collector) = %v, want nil", err)
 	}
 }
 

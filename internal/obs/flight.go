@@ -14,13 +14,12 @@ type TimedEvent struct {
 	Event Event
 }
 
-// FlightRecorder is the always-on crash/debug sink of the introspection
-// layer: a fixed-capacity ring of the most recent events, each stamped with
-// its emission time. Unlike RingSink (events only, test-oriented) the
-// recorder's snapshot carries timestamps, so the /events endpoint and the
-// SIGQUIT stderr dump can reconstruct a timeline of the engine's last
-// moments. Emit is cheap (one lock, no allocation beyond the entry slot) and
-// safe for concurrent use.
+// FlightRecorder is the bounded in-memory sink: a fixed-capacity ring of
+// the most recent events, each stamped with its emission time. It backs the
+// /events endpoint and the SIGQUIT stderr dump, which reconstruct a
+// timeline of the engine's last moments from it, and serves tests that only
+// need the last N events. Emit is cheap (one lock, no allocation beyond the
+// entry slot) and safe for concurrent use.
 type FlightRecorder struct {
 	mu    sync.Mutex
 	buf   []TimedEvent
@@ -44,14 +43,7 @@ func (r *FlightRecorder) Emit(e Event) {
 	now := time.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.total++
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = TimedEvent{When: now, Event: e}
-		r.n++
-		return
-	}
-	r.buf[r.start] = TimedEvent{When: now, Event: e}
-	r.start = (r.start + 1) % len(r.buf)
+	r.push(TimedEvent{When: now, Event: e})
 }
 
 // EmitBatch appends the events in slice order under one lock acquisition,
@@ -62,15 +54,20 @@ func (r *FlightRecorder) EmitBatch(events []Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, e := range events {
-		r.total++
-		if r.n < len(r.buf) {
-			r.buf[(r.start+r.n)%len(r.buf)] = TimedEvent{When: now, Event: e}
-			r.n++
-			continue
-		}
-		r.buf[r.start] = TimedEvent{When: now, Event: e}
-		r.start = (r.start + 1) % len(r.buf)
+		r.push(TimedEvent{When: now, Event: e})
 	}
+}
+
+// push appends te, evicting the oldest entry when full. r.mu must be held.
+func (r *FlightRecorder) push(te TimedEvent) {
+	r.total++
+	if r.n < len(r.buf) {
+		r.buf[(r.start+r.n)%len(r.buf)] = te
+		r.n++
+		return
+	}
+	r.buf[r.start] = te
+	r.start = (r.start + 1) % len(r.buf)
 }
 
 // Snapshot returns the retained events, oldest first.

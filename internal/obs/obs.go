@@ -9,7 +9,7 @@
 // completion, variant transitions, cooldowns, configuration clamping,
 // engine shutdown — is a typed event that can be exported as JSONL,
 // buffered in memory, fanned out to several sinks at once, or rendered
-// through a legacy Logf adapter. The quantities the paper's evaluation
+// through a printf adapter (LogfSink). The quantities the paper's evaluation
 // argues about (monitored fraction, finished ratio, analysis-round latency,
 // per-site transition churn) are first-class metrics.
 //
@@ -83,9 +83,9 @@ type Event interface {
 	// ("" for unlabeled engines).
 	EngineName() string
 	// Logline renders the event as a printf pair. The formats of the
-	// events that existed in the legacy Logf hook (context registration,
-	// transitions, completed windows) are byte-identical to the legacy
-	// output, so a Logf adapter reproduces the historical trace log.
+	// events of the original printf trace log (context registration,
+	// transitions, completed windows) are byte-identical to that log, so
+	// a LogfSink reproduces it.
 	Logline() (format string, args []any)
 }
 

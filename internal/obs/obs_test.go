@@ -118,26 +118,6 @@ func TestDecodeRejectsUnknownKind(t *testing.T) {
 	}
 }
 
-func TestRingSinkEviction(t *testing.T) {
-	r := NewRingSink(3)
-	for i := 0; i < 5; i++ {
-		r.Emit(RoundStarted{Round: i})
-	}
-	if r.Len() != 3 {
-		t.Fatalf("len = %d, want 3", r.Len())
-	}
-	if r.Total() != 5 {
-		t.Fatalf("total = %d, want 5", r.Total())
-	}
-	got := r.Events()
-	for i, e := range got {
-		want := i + 2 // rounds 2, 3, 4 survive
-		if e.(RoundStarted).Round != want {
-			t.Errorf("events[%d].Round = %d, want %d", i, e.(RoundStarted).Round, want)
-		}
-	}
-}
-
 func TestCollectorKeepsEverything(t *testing.T) {
 	c := NewCollector()
 	for i := 0; i < 100; i++ {
@@ -175,7 +155,7 @@ func TestMultiCollapses(t *testing.T) {
 }
 
 // TestLogfAdapterLegacyFormats pins the adapter output to the exact lines
-// the legacy Config.Logf hook produced (see core's historical trace tests).
+// of the original printf trace log (see core's trace tests).
 func TestLogfAdapterLegacyFormats(t *testing.T) {
 	var lines []string
 	sink := NewLogfSink(func(format string, args ...any) {

@@ -2,83 +2,8 @@ package obs
 
 import "sync"
 
-// RingSink keeps the most recent events in a fixed-capacity ring buffer —
-// the in-memory sink for tests and for "last N events" debugging views.
-type RingSink struct {
-	mu    sync.Mutex
-	buf   []Event
-	start int
-	n     int
-	total int64
-}
-
-// NewRingSink returns a ring buffer holding at most capacity events
-// (minimum 1). Older events are evicted as newer ones arrive.
-func NewRingSink(capacity int) *RingSink {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &RingSink{buf: make([]Event, capacity)}
-}
-
-// Emit appends the event, evicting the oldest when full.
-func (s *RingSink) Emit(e Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.total++
-	if s.n < len(s.buf) {
-		s.buf[(s.start+s.n)%len(s.buf)] = e
-		s.n++
-		return
-	}
-	s.buf[s.start] = e
-	s.start = (s.start + 1) % len(s.buf)
-}
-
-// EmitBatch appends the events in slice order under one lock acquisition,
-// evicting oldest entries as needed.
-func (s *RingSink) EmitBatch(events []Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range events {
-		s.total++
-		if s.n < len(s.buf) {
-			s.buf[(s.start+s.n)%len(s.buf)] = e
-			s.n++
-			continue
-		}
-		s.buf[s.start] = e
-		s.start = (s.start + 1) % len(s.buf)
-	}
-}
-
-// Events returns the retained events, oldest first.
-func (s *RingSink) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Event, s.n)
-	for i := 0; i < s.n; i++ {
-		out[i] = s.buf[(s.start+i)%len(s.buf)]
-	}
-	return out
-}
-
-// Len returns the number of retained events.
-func (s *RingSink) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Total returns the number of events ever emitted, including evicted ones.
-func (s *RingSink) Total() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
-}
-
-// Collector retains every emitted event — the unbounded sibling of RingSink,
-// used where the full stream must be replayed (e.g. rebuilding the Table 6
+// Collector retains every emitted event — the unbounded sibling of
+// FlightRecorder, used where the full stream must be replayed (e.g. rebuilding the Table 6
 // aggregation from Transition events).
 type Collector struct {
 	mu     sync.Mutex
@@ -186,9 +111,9 @@ func CountingSink(r *Registry) Sink {
 }
 
 // LogfSink adapts a printf-style callback to the event stream: every event
-// is rendered through its Logline formatting. The events that existed in the
-// legacy Config.Logf hook produce byte-identical lines, so pre-existing log
-// scrapers keep working.
+// is rendered through its Logline formatting. The events of the original
+// printf trace log render byte-identically, so pre-existing log scrapers
+// keep working.
 type LogfSink struct {
 	fn func(format string, args ...any)
 }

@@ -239,9 +239,10 @@ func (t *Tuner) RunOnce() int {
 	}
 	if t.cfg.Store != nil {
 		t.cfg.Store.RecordSites(snaps)
-		if err := t.cfg.Store.Save(); err != nil && t.cfg.Engine.Config().Logf != nil {
-			t.cfg.Engine.Config().Logf("tuner: store save failed: %v", err)
-		}
+		// A failed save leaves the previous file in place and the next
+		// cycle retries. Owners that must know call Store.Save themselves,
+		// as the service does at shutdown.
+		_ = t.cfg.Store.Save()
 	}
 	if t.cfg.Sink != nil {
 		t.cfg.Sink.Emit(obs.CalibrationCompleted{
