@@ -48,7 +48,7 @@ func fig5Bench(b *testing.B, panel int, size int) {
 	sc.Fig5Sizes = []int{size}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		panels := experiments.RunFig5(sc)
+		panels := experiments.RunFig5(sc, apps.Obs{})
 		if len(panels[panel].Points) != 1 {
 			b.Fatal("missing point")
 		}
@@ -95,7 +95,7 @@ func BenchmarkFig6MultiPhase(b *testing.B) {
 	sc := benchScale()
 	sc.Fig6Reps = 1
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig6(sc)
+		res := experiments.RunFig6(sc, apps.Obs{})
 		if len(res.Iterations) != 5 {
 			b.Fatal("missing iterations")
 		}

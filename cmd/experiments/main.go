@@ -171,17 +171,17 @@ func main() {
 		case "table4":
 			experiments.PrintTable4(w)
 		case "fig5":
-			experiments.PrintFig5(w, experiments.RunFig5Obs(sc, o))
+			experiments.PrintFig5(w, experiments.RunFig5(sc, o))
 		case "fig6":
-			experiments.PrintFig6(w, experiments.RunFig6Obs(sc, o))
+			experiments.PrintFig6(w, experiments.RunFig6(sc, o))
 		case "fig7":
 			experiments.PrintFig7(w, experiments.RunFig7(o.Models))
 		case "table5", "table6":
-			rows := experiments.RunTable5Obs(sc, o)
+			rows := experiments.RunTable5(sc, o)
 			experiments.PrintTable5(w, rows)
 			experiments.PrintTable6(w, experiments.Table6From(rows))
 		case "overhead":
-			experiments.PrintOverhead(w, experiments.RunOverheadObs(sc, o))
+			experiments.PrintOverhead(w, experiments.RunOverhead(sc, o))
 		case "ablation":
 			experiments.PrintAblation(w, experiments.RunAblation(sc))
 		default:

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"unsafe"
-
 	"repro/internal/collections"
 )
 
@@ -11,60 +9,27 @@ import (
 // contribute exactly two abstraction-specific ingredients: the
 // monitor-wrapping functions and the adaptive transition threshold.
 
-// wrapList/unwrapList adapt the list monitors to the siteCore monitor
-// hooks. The Sizer assertion is resolved here, once per instance, so
-// FootprintBytes never re-asserts on the hot path. A multi-stripe profile
-// gets the striped monitor form; the stripes of a GOMAXPROCS=1 process
-// collapse to one and the plain form keeps the record path at its
-// historical cost (see monitor.go). Because the plain form is the striped
-// form's first field, the returned *monitoredList addresses the same heap
-// object either way — siteCore's weak reference and the user-facing
-// interface value agree on the instance-death signal — and unwrapList
-// recovers the striped method set by casting back, discriminating on
-// maskBytes (non-zero exactly for striped monitors).
-func wrapList[T comparable](inner collections.List[T], p *profile) *monitoredList[T] {
+// wrapList/wrapSet/wrapMap are the siteCore wrap hooks: each builds the
+// abstraction's monitor and returns it twice, as the *M whose weak reference
+// signals instance death and as the collection view handed to the user. The
+// Sizer assertion is resolved here, once per instance, so FootprintBytes
+// never re-asserts on the hot path.
+func wrapList[T comparable](inner collections.List[T], p *profile) (*monitoredList[T], collections.List[T]) {
 	s, _ := inner.(collections.Sizer)
-	if p.maskBytes() == 0 {
-		return &monitoredList[T]{inner: inner, sizer: s, p: p, sh: p.base()}
-	}
-	st := &stripedList[T]{monitoredList[T]{inner: inner, sizer: s, p: p, sh: p.base(), maskBytes: p.maskBytes()}}
-	return &st.monitoredList
-}
-func unwrapList[T comparable](m *monitoredList[T]) collections.List[T] {
-	if m.maskBytes != 0 {
-		return (*stripedList[T])(unsafe.Pointer(m))
-	}
-	return m
+	m := &monitoredList[T]{inner: inner, sizer: s, p: p}
+	return m, m
 }
 
-func wrapSet[T comparable](inner collections.Set[T], p *profile) *monitoredSet[T] {
+func wrapSet[T comparable](inner collections.Set[T], p *profile) (*monitoredSet[T], collections.Set[T]) {
 	s, _ := inner.(collections.Sizer)
-	if p.maskBytes() == 0 {
-		return &monitoredSet[T]{inner: inner, sizer: s, p: p, sh: p.base()}
-	}
-	st := &stripedSet[T]{monitoredSet[T]{inner: inner, sizer: s, p: p, sh: p.base(), maskBytes: p.maskBytes()}}
-	return &st.monitoredSet
-}
-func unwrapSet[T comparable](m *monitoredSet[T]) collections.Set[T] {
-	if m.maskBytes != 0 {
-		return (*stripedSet[T])(unsafe.Pointer(m))
-	}
-	return m
+	m := &monitoredSet[T]{inner: inner, sizer: s, p: p}
+	return m, m
 }
 
-func wrapMap[K comparable, V any](inner collections.Map[K, V], p *profile) *monitoredMap[K, V] {
+func wrapMap[K comparable, V any](inner collections.Map[K, V], p *profile) (*monitoredMap[K, V], collections.Map[K, V]) {
 	s, _ := inner.(collections.Sizer)
-	if p.maskBytes() == 0 {
-		return &monitoredMap[K, V]{inner: inner, sizer: s, p: p, sh: p.base()}
-	}
-	st := &stripedMap[K, V]{monitoredMap[K, V]{inner: inner, sizer: s, p: p, sh: p.base(), maskBytes: p.maskBytes()}}
-	return &st.monitoredMap
-}
-func unwrapMap[K comparable, V any](m *monitoredMap[K, V]) collections.Map[K, V] {
-	if m.maskBytes != 0 {
-		return (*stripedMap[K, V])(unsafe.Pointer(m))
-	}
-	return m
+	m := &monitoredMap[K, V]{inner: inner, sizer: s, p: p}
+	return m, m
 }
 
 // listFactories/setFactories/mapFactories flatten a variant slice into the
@@ -116,7 +81,7 @@ func NewListContext[T comparable](e *Engine, opts ...Option) *ListContext[T] {
 		panic("core: unknown default list variant " + string(o.defaultVar))
 	}
 	c := &ListContext[T]{}
-	c.core.init(e, o, "list", factories, wrapList[T], unwrapList[T], collections.DefaultListThreshold)
+	c.core.init(e, o, "list", factories, wrapList[T], collections.DefaultListThreshold)
 	e.register(&c.core)
 	return c
 }
@@ -148,7 +113,7 @@ func NewSetContext[T comparable](e *Engine, opts ...Option) *SetContext[T] {
 		panic("core: unknown default set variant " + string(o.defaultVar))
 	}
 	c := &SetContext[T]{}
-	c.core.init(e, o, "set", factories, wrapSet[T], unwrapSet[T], collections.DefaultSetThreshold)
+	c.core.init(e, o, "set", factories, wrapSet[T], collections.DefaultSetThreshold)
 	e.register(&c.core)
 	return c
 }
@@ -180,7 +145,7 @@ func NewMapContext[K comparable, V any](e *Engine, opts ...Option) *MapContext[K
 		panic("core: unknown default map variant " + string(o.defaultVar))
 	}
 	c := &MapContext[K, V]{}
-	c.core.init(e, o, "map", factories, wrapMap[K, V], unwrapMap[K, V], collections.DefaultMapThreshold)
+	c.core.init(e, o, "map", factories, wrapMap[K, V], collections.DefaultMapThreshold)
 	e.register(&c.core)
 	return c
 }

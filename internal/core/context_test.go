@@ -64,7 +64,7 @@ func TestListContextSwitchesOnLookupHeavyWorkload(t *testing.T) {
 	}
 	// New instances now use the switched variant.
 	l := ctx.NewList()
-	if !isMonitoredList(l) {
+	if _, ok := l.(*monitoredList[int]); !ok {
 		t.Fatal("post-switch instance not monitored (new round should monitor)")
 	}
 }
@@ -217,7 +217,7 @@ func TestContextMonitorsOnlyWindow(t *testing.T) {
 	ctx := NewListContext[int](e)
 	monitored := 0
 	for i := 0; i < 25; i++ {
-		if isMonitoredList(ctx.NewList()) {
+		if _, ok := ctx.NewList().(*monitoredList[int]); ok {
 			monitored++
 		}
 	}
@@ -407,7 +407,7 @@ func TestUnknownDefaultVariantPanics(t *testing.T) {
 
 func TestMonitoredWrapperCountsOps(t *testing.T) {
 	p := newProfile()
-	m := wrapList(collections.NewArrayList[int](), p)
+	m, _ := wrapList(collections.NewArrayList[int](), p)
 	m.Add(1)
 	m.Add(2)
 	m.Insert(1, 3) // middle insert: add + middle
@@ -437,7 +437,7 @@ func TestMonitoredWrapperCountsOps(t *testing.T) {
 
 func TestMonitoredSetAndMapCounts(t *testing.T) {
 	ps := newProfile()
-	s := wrapSet(collections.NewHashSet[int](), ps)
+	s, _ := wrapSet(collections.NewHashSet[int](), ps)
 	s.Add(1)
 	s.Add(1) // duplicate still counts as an add call
 	s.Contains(1)
@@ -452,7 +452,7 @@ func TestMonitoredSetAndMapCounts(t *testing.T) {
 	}
 
 	pm := newProfile()
-	m := wrapMap(collections.NewHashMap[int, int](), pm)
+	m, _ := wrapMap(collections.NewHashMap[int, int](), pm)
 	m.Put(1, 1)
 	m.Put(2, 2)
 	m.Get(1)
@@ -470,25 +470,26 @@ func TestMonitoredSetAndMapCounts(t *testing.T) {
 
 func TestProfileObserveSizeMonotonic(t *testing.T) {
 	p := newProfile()
-	sh := p.base()
-	sh.observeSize(5)
-	sh.observeSize(3)
-	sh.observeSize(8)
-	sh.observeSize(1)
+	p.observeSize(5)
+	p.observeSize(3)
+	p.observeSize(8)
+	p.observeSize(1)
 	if got := p.snapshot().MaxSize; got != 8 {
 		t.Fatalf("MaxSize = %d, want 8", got)
 	}
 }
 
-// TestProfileShardsSumExactly pins the shard-then-aggregate invariant the
-// whole refactor rests on: concurrent increments spread over the counter
-// stripes must sum to exactly the number of increments performed, and the
-// per-shard max-size high-water marks must combine into exactly the global
-// maximum — regardless of how the goroutine hash distributed the writers.
+// TestProfileShardsSumExactly pins the profile's exact-count contract:
+// concurrent increments from many goroutines running in parallel sum to
+// exactly the number performed, interleaved observeSize calls combine into
+// exactly the global maximum, and a released profile comes back from the
+// pool zeroed. (The name dates from the former multi-stripe profile; a
+// profile is now one set of counters, and the contract is unchanged.)
 func TestProfileShardsSumExactly(t *testing.T) {
-	// Build a multi-stripe profile directly: on a narrow host newProfile
-	// collapses to one stripe, which would make this test vacuous.
-	p := &profile{shards: make([]pshard, 8)}
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	p := newProfile()
 	const goroutines = 8
 	const perG = 10000
 	var wg sync.WaitGroup
@@ -497,17 +498,16 @@ func TestProfileShardsSumExactly(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				sh := stripeOf(p.base(), p.maskBytes())
-				sh.adds.Add(1)
-				sh.contains.Add(1)
-				sh.observeSize(g*perG + i)
+				p.adds.Add(1)
+				p.contains.Add(1)
+				p.observeSize(g*perG + i)
 			}
 		}(g)
 	}
 	wg.Wait()
 	w := p.snapshot()
 	if w.Adds != goroutines*perG || w.Contains != goroutines*perG {
-		t.Errorf("shard sums = adds %d contains %d, want %d each", w.Adds, w.Contains, goroutines*perG)
+		t.Errorf("sums = adds %d contains %d, want %d each", w.Adds, w.Contains, goroutines*perG)
 	}
 	if want := int64(goroutines*perG - 1); w.MaxSize != want {
 		t.Errorf("MaxSize = %d, want %d", w.MaxSize, want)
@@ -518,5 +518,45 @@ func TestProfileShardsSumExactly(t *testing.T) {
 	defer q.release()
 	if w := q.snapshot(); w != (Workload{}) {
 		t.Errorf("pooled profile not zeroed: %+v", w)
+	}
+}
+
+// TestStripedSetCountsExactly hammers one monitored set from many goroutines
+// running in parallel and asserts the profile is exact: every operation is
+// one atomic add on the shared counters, so the folded Workload equals the
+// reference counts, and the size high-water mark equals the final size (all
+// inserted values are distinct, so the last-completing Add observed the
+// full set). Selection trusts these counts. (The name dates from the former
+// striped monitor form; the one monitor form must meet the same contract.)
+func TestStripedSetCountsExactly(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	p := newProfile()
+	_, s := wrapSet[int](collections.NewSyncSet[int](0), p)
+	const goroutines = 8
+	const perG = 5000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				s.Add(g*perG + i)
+				s.Contains(i)
+				if i%64 == 63 {
+					s.ForEach(func(int) bool { return false })
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	const total = goroutines * perG
+	want := Workload{Adds: total, Contains: total, Iterates: goroutines * (perG / 64), MaxSize: total}
+	if w := p.snapshot(); w != want {
+		t.Errorf("workload = %+v, want %+v", w, want)
+	}
+	if s.Len() != total {
+		t.Errorf("Len = %d, want %d", s.Len(), total)
 	}
 }

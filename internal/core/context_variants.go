@@ -23,7 +23,7 @@ func NewListContextWithVariants[T comparable](e *Engine, variants []collections.
 		panic("core: default variant " + string(o.defaultVar) + " not among supplied variants")
 	}
 	c := &ListContext[T]{}
-	c.core.init(e, o, "list", factories, wrapList[T], unwrapList[T], collections.DefaultListThreshold)
+	c.core.init(e, o, "list", factories, wrapList[T], collections.DefaultListThreshold)
 	e.register(&c.core)
 	return c
 }
@@ -40,7 +40,7 @@ func NewSetContextWithVariants[T comparable](e *Engine, variants []collections.S
 		panic("core: default variant " + string(o.defaultVar) + " not among supplied variants")
 	}
 	c := &SetContext[T]{}
-	c.core.init(e, o, "set", factories, wrapSet[T], unwrapSet[T], collections.DefaultSetThreshold)
+	c.core.init(e, o, "set", factories, wrapSet[T], collections.DefaultSetThreshold)
 	e.register(&c.core)
 	return c
 }
@@ -57,7 +57,7 @@ func NewMapContextWithVariants[K comparable, V any](e *Engine, variants []collec
 		panic("core: default variant " + string(o.defaultVar) + " not among supplied variants")
 	}
 	c := &MapContext[K, V]{}
-	c.core.init(e, o, "map", factories, wrapMap[K, V], unwrapMap[K, V], collections.DefaultMapThreshold)
+	c.core.init(e, o, "map", factories, wrapMap[K, V], collections.DefaultMapThreshold)
 	e.register(&c.core)
 	return c
 }

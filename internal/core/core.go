@@ -26,8 +26,8 @@
 package core
 
 // Workload is an immutable snapshot of a profile, the W of Section 3.1.1.
-// It is produced by profile.snapshot (profile.go), which aggregates the
-// striped per-shard counters into these exact totals.
+// It is produced by profile.snapshot (profile.go), which reads one
+// instance's counters.
 type Workload struct {
 	Adds     int64
 	Contains int64

@@ -11,8 +11,8 @@ import (
 // TestEpochDrainingNoLostOps hammers one site from concurrent recorders
 // while AnalyzeNow closes windows concurrently, then asserts the framework's
 // aggregated totals equal a reference count the test kept in a plain atomic:
-// epoch advancing, shard summing and profile recycling must neither lose nor
-// double-count a single operation.
+// epoch advancing and profile recycling must neither lose nor double-count
+// a single operation.
 //
 // FinishedRatio 1 makes the assertion exact: a window only closes once every
 // monitored instance in it is dead, so each profile is folded exactly once,
@@ -52,7 +52,7 @@ func TestEpochDrainingNoLostOps(t *testing.T) {
 					l.Add(j)
 				}
 				l.Contains(0)
-				if isMonitoredList(l) {
+				if _, ok := l.(*monitoredList[int]); ok {
 					// The instance is still strongly referenced here, so its
 					// profile cannot have been folded yet: the reference
 					// counts are complete before the framework's.
@@ -138,10 +138,10 @@ func TestLateBounceRecyclesProfile(t *testing.T) {
 	defer e.Close()
 	ctx := NewSetContext[int](e, WithName("race:bounce"))
 	a, b := ctx.NewSet(), ctx.NewSet()
-	if !isMonitoredSet(a) {
+	if _, ok := a.(*monitoredSet[int]); !ok {
 		t.Fatal("first creation not monitored")
 	}
-	if !isMonitoredSet(b) {
+	if _, ok := b.(*monitoredSet[int]); !ok {
 		t.Fatal("second creation not monitored")
 	}
 	// Window full: the state gate now bounces creations on the fast path,
@@ -152,7 +152,7 @@ func TestLateBounceRecyclesProfile(t *testing.T) {
 	}
 	ctx.core.state.Store(stateOpen) // simulate the stale-gate racer
 	c := ctx.NewSet()
-	if isMonitoredSet(c) {
+	if _, ok := c.(*monitoredSet[int]); ok {
 		t.Fatal("bounced creation still monitored")
 	}
 	if got := ctx.core.state.Load(); got != stateWindowFull {

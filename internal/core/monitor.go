@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"unsafe"
 
 	"repro/internal/collections"
 )
@@ -13,32 +12,17 @@ import (
 // of instances pays this cost; instances beyond the window are handed out
 // unwrapped.
 //
-// Two monitor implementations exist per abstraction, chosen once at wrap
-// time by the profile's stripe count (see profile.go):
-//
-//   - monitoredList/Set/Map is the single-stripe form: every counting
-//     method performs one atomic increment on the cached stripe pointer,
-//     with no per-operation stripe selection of any kind. This matters
-//     because a locked x86 read-modify-write dispatches only once every
-//     older instruction has retired — any selection work ahead of it
-//     (a branch, a hash, even a handful of dependency-free ALU ops) is
-//     serialized into the operation's latency rather than hidden by
-//     out-of-order execution. Measured on the saturation benchmark, a
-//     single predicted branch before the increment costs ~2ns/op; the
-//     direct form is indistinguishable from the historical shared-counter
-//     monitor at GOMAXPROCS=1.
-//   - stripedList/Set/Map embeds the single-stripe form at offset zero and
-//     overrides the counting methods to pick a stripe from a cheap
-//     stack-address hash, so concurrent recorders on different goroutines
-//     land on different cache lines. The selection cost only exists in
-//     this form, where it buys the removal of cross-core line ping-pong.
-//
-// The embedding at offset zero means a *stripedSet and the *monitoredSet
-// pointing at its first field are the same address and the same heap
-// object: siteCore keeps its weak reference typed as the plain form (one M
-// type parameter) while the user-facing interface value dispatches to the
-// striped methods. unwrap* in context.go performs the cast, discriminating
-// on maskBytes (non-zero exactly for striped monitors).
+// There is one monitor type per abstraction, monitoredList/Set/Map. Every
+// counting method performs one atomic add on the instance's profile through
+// the cached p pointer, with no per-operation selection of any kind. This
+// matters because a locked x86 read-modify-write dispatches only once every
+// older instruction has retired — any work ahead of it (a branch, a hash,
+// even a handful of dependency-free ALU ops) is serialized into the
+// operation's latency rather than hidden by out-of-order execution. Measured
+// on the saturation benchmark, a single predicted branch before the
+// increment costs ~2ns/op. Hashing each recorder onto its own counter line
+// does not beat this form in the median at GOMAXPROCS=2 (EXPERIMENTS.md,
+// "Monitoring overhead at saturation").
 //
 // Two details keep the shared profile pool safe:
 //
@@ -55,46 +39,28 @@ import (
 //     cached in the sizer field, instead of re-asserted on every
 //     FootprintBytes call.
 
-// stripeOf selects a counter stripe for one operation on a striped monitor:
-// base is the profile's first stripe, maskBytes is (stripes-1)*64. The hash
-// mixes two windows of a current stack slot's address — goroutine stacks
-// are disjoint allocations, so distinct goroutines land on distinct stripes
-// with high probability, and repeated calls from similar frames reuse a
-// stripe (the affinity that keeps its cache line core-local). Collisions
-// merely share a stripe — every counter update is atomic, so counts stay
-// exact regardless of the distribution. The probe address never outlives
-// the expression, and maskBytes keeps the byte offset a multiple of 64
-// inside the profile's stripe array, so the unsafe.Add stays in bounds.
-func stripeOf(base *pshard, maskBytes uintptr) *pshard {
-	var probe byte
-	sp := uintptr(unsafe.Pointer(&probe))
-	return (*pshard)(unsafe.Add(unsafe.Pointer(base), ((sp>>5)^(sp>>11))&maskBytes))
-}
-
-// monitoredList wraps a List and counts its critical operations on a single
-// cached stripe.
+// monitoredList wraps a List and counts its critical operations into its
+// profile.
 type monitoredList[T comparable] struct {
-	inner     collections.List[T]
-	sh        *pshard           // first stripe of p; counting target of the plain form
-	maskBytes uintptr           // (stripes-1)*64; 0 marks the plain single-stripe form
-	sizer     collections.Sizer // cached inner.(collections.Sizer); nil if unsupported
-	p         *profile
+	inner collections.List[T]
+	sizer collections.Sizer // cached inner.(collections.Sizer); nil if unsupported
+	p     *profile          // this instance's counters
 }
 
 func (m *monitoredList[T]) Add(v T) {
-	m.sh.adds.Add(1)
+	m.p.adds.Add(1)
 	m.inner.Add(v)
-	m.sh.observeSize(m.inner.Len())
+	m.p.observeSize(m.inner.Len())
 	runtime.KeepAlive(m)
 }
 
 func (m *monitoredList[T]) Insert(i int, v T) {
-	m.sh.adds.Add(1)
+	m.p.adds.Add(1)
 	if i < m.inner.Len() {
-		m.sh.middles.Add(1)
+		m.p.middles.Add(1)
 	}
 	m.inner.Insert(i, v)
-	m.sh.observeSize(m.inner.Len())
+	m.p.observeSize(m.inner.Len())
 	runtime.KeepAlive(m)
 }
 
@@ -103,24 +69,24 @@ func (m *monitoredList[T]) Get(i int) T { return m.inner.Get(i) }
 func (m *monitoredList[T]) Set(i int, v T) T { return m.inner.Set(i, v) }
 
 func (m *monitoredList[T]) RemoveAt(i int) T {
-	m.sh.middles.Add(1)
+	m.p.middles.Add(1)
 	return m.inner.RemoveAt(i)
 }
 
 func (m *monitoredList[T]) Remove(v T) bool {
 	// A removal by value is a search plus a positional removal.
-	m.sh.contains.Add(1)
-	m.sh.middles.Add(1)
+	m.p.contains.Add(1)
+	m.p.middles.Add(1)
 	return m.inner.Remove(v)
 }
 
 func (m *monitoredList[T]) Contains(v T) bool {
-	m.sh.contains.Add(1)
+	m.p.contains.Add(1)
 	return m.inner.Contains(v)
 }
 
 func (m *monitoredList[T]) IndexOf(v T) int {
-	m.sh.contains.Add(1)
+	m.p.contains.Add(1)
 	return m.inner.IndexOf(v)
 }
 
@@ -129,7 +95,7 @@ func (m *monitoredList[T]) Len() int { return m.inner.Len() }
 func (m *monitoredList[T]) Clear() { m.inner.Clear() }
 
 func (m *monitoredList[T]) ForEach(fn func(T) bool) {
-	m.sh.iterates.Add(1)
+	m.p.iterates.Add(1)
 	m.inner.ForEach(fn)
 }
 
@@ -142,85 +108,29 @@ func (m *monitoredList[T]) FootprintBytes() int {
 	return 0
 }
 
-// stripedList is the multi-stripe list monitor: identical layout (the
-// embedded plain form is its only field), counting methods overridden to
-// select a per-goroutine stripe. Non-counting methods are promoted from the
-// embedded form.
-type stripedList[T comparable] struct {
-	monitoredList[T]
-}
-
-func (m *stripedList[T]) Add(v T) {
-	sh := stripeOf(m.sh, m.maskBytes)
-	sh.adds.Add(1)
-	m.inner.Add(v)
-	sh.observeSize(m.inner.Len())
-	runtime.KeepAlive(m)
-}
-
-func (m *stripedList[T]) Insert(i int, v T) {
-	sh := stripeOf(m.sh, m.maskBytes)
-	sh.adds.Add(1)
-	if i < m.inner.Len() {
-		sh.middles.Add(1)
-	}
-	m.inner.Insert(i, v)
-	sh.observeSize(m.inner.Len())
-	runtime.KeepAlive(m)
-}
-
-func (m *stripedList[T]) RemoveAt(i int) T {
-	stripeOf(m.sh, m.maskBytes).middles.Add(1)
-	return m.inner.RemoveAt(i)
-}
-
-func (m *stripedList[T]) Remove(v T) bool {
-	sh := stripeOf(m.sh, m.maskBytes)
-	sh.contains.Add(1)
-	sh.middles.Add(1)
-	return m.inner.Remove(v)
-}
-
-func (m *stripedList[T]) Contains(v T) bool {
-	stripeOf(m.sh, m.maskBytes).contains.Add(1)
-	return m.inner.Contains(v)
-}
-
-func (m *stripedList[T]) IndexOf(v T) int {
-	stripeOf(m.sh, m.maskBytes).contains.Add(1)
-	return m.inner.IndexOf(v)
-}
-
-func (m *stripedList[T]) ForEach(fn func(T) bool) {
-	stripeOf(m.sh, m.maskBytes).iterates.Add(1)
-	m.inner.ForEach(fn)
-}
-
-// monitoredSet wraps a Set and counts its critical operations on a single
-// cached stripe.
+// monitoredSet wraps a Set and counts its critical operations into its
+// profile.
 type monitoredSet[T comparable] struct {
-	inner     collections.Set[T]
-	sh        *pshard           // first stripe of p; counting target of the plain form
-	maskBytes uintptr           // (stripes-1)*64; 0 marks the plain single-stripe form
-	sizer     collections.Sizer // cached inner.(collections.Sizer); nil if unsupported
-	p         *profile
+	inner collections.Set[T]
+	sizer collections.Sizer // cached inner.(collections.Sizer); nil if unsupported
+	p     *profile          // this instance's counters
 }
 
 func (m *monitoredSet[T]) Add(v T) bool {
-	m.sh.adds.Add(1)
+	m.p.adds.Add(1)
 	changed := m.inner.Add(v)
-	m.sh.observeSize(m.inner.Len())
+	m.p.observeSize(m.inner.Len())
 	runtime.KeepAlive(m)
 	return changed
 }
 
 func (m *monitoredSet[T]) Remove(v T) bool {
-	m.sh.middles.Add(1)
+	m.p.middles.Add(1)
 	return m.inner.Remove(v)
 }
 
 func (m *monitoredSet[T]) Contains(v T) bool {
-	m.sh.contains.Add(1)
+	m.p.contains.Add(1)
 	return m.inner.Contains(v)
 }
 
@@ -229,7 +139,7 @@ func (m *monitoredSet[T]) Len() int { return m.inner.Len() }
 func (m *monitoredSet[T]) Clear() { m.inner.Clear() }
 
 func (m *monitoredSet[T]) ForEach(fn func(T) bool) {
-	m.sh.iterates.Add(1)
+	m.p.iterates.Add(1)
 	m.inner.ForEach(fn)
 }
 
@@ -240,65 +150,34 @@ func (m *monitoredSet[T]) FootprintBytes() int {
 	return 0
 }
 
-// stripedSet is the multi-stripe set monitor (see stripedList).
-type stripedSet[T comparable] struct {
-	monitoredSet[T]
-}
-
-func (m *stripedSet[T]) Add(v T) bool {
-	sh := stripeOf(m.sh, m.maskBytes)
-	sh.adds.Add(1)
-	changed := m.inner.Add(v)
-	sh.observeSize(m.inner.Len())
-	runtime.KeepAlive(m)
-	return changed
-}
-
-func (m *stripedSet[T]) Remove(v T) bool {
-	stripeOf(m.sh, m.maskBytes).middles.Add(1)
-	return m.inner.Remove(v)
-}
-
-func (m *stripedSet[T]) Contains(v T) bool {
-	stripeOf(m.sh, m.maskBytes).contains.Add(1)
-	return m.inner.Contains(v)
-}
-
-func (m *stripedSet[T]) ForEach(fn func(T) bool) {
-	stripeOf(m.sh, m.maskBytes).iterates.Add(1)
-	m.inner.ForEach(fn)
-}
-
-// monitoredMap wraps a Map and counts its critical operations on a single
-// cached stripe.
+// monitoredMap wraps a Map and counts its critical operations into its
+// profile.
 type monitoredMap[K comparable, V any] struct {
-	inner     collections.Map[K, V]
-	sh        *pshard           // first stripe of p; counting target of the plain form
-	maskBytes uintptr           // (stripes-1)*64; 0 marks the plain single-stripe form
-	sizer     collections.Sizer // cached inner.(collections.Sizer); nil if unsupported
-	p         *profile
+	inner collections.Map[K, V]
+	sizer collections.Sizer // cached inner.(collections.Sizer); nil if unsupported
+	p     *profile          // this instance's counters
 }
 
 func (m *monitoredMap[K, V]) Put(k K, v V) (V, bool) {
-	m.sh.adds.Add(1)
+	m.p.adds.Add(1)
 	old, present := m.inner.Put(k, v)
-	m.sh.observeSize(m.inner.Len())
+	m.p.observeSize(m.inner.Len())
 	runtime.KeepAlive(m)
 	return old, present
 }
 
 func (m *monitoredMap[K, V]) Get(k K) (V, bool) {
-	m.sh.contains.Add(1)
+	m.p.contains.Add(1)
 	return m.inner.Get(k)
 }
 
 func (m *monitoredMap[K, V]) Remove(k K) (V, bool) {
-	m.sh.middles.Add(1)
+	m.p.middles.Add(1)
 	return m.inner.Remove(k)
 }
 
 func (m *monitoredMap[K, V]) ContainsKey(k K) bool {
-	m.sh.contains.Add(1)
+	m.p.contains.Add(1)
 	return m.inner.ContainsKey(k)
 }
 
@@ -307,7 +186,7 @@ func (m *monitoredMap[K, V]) Len() int { return m.inner.Len() }
 func (m *monitoredMap[K, V]) Clear() { m.inner.Clear() }
 
 func (m *monitoredMap[K, V]) ForEach(fn func(K, V) bool) {
-	m.sh.iterates.Add(1)
+	m.p.iterates.Add(1)
 	m.inner.ForEach(fn)
 }
 
@@ -316,38 +195,4 @@ func (m *monitoredMap[K, V]) FootprintBytes() int {
 		return m.sizer.FootprintBytes()
 	}
 	return 0
-}
-
-// stripedMap is the multi-stripe map monitor (see stripedList).
-type stripedMap[K comparable, V any] struct {
-	monitoredMap[K, V]
-}
-
-func (m *stripedMap[K, V]) Put(k K, v V) (V, bool) {
-	sh := stripeOf(m.sh, m.maskBytes)
-	sh.adds.Add(1)
-	old, present := m.inner.Put(k, v)
-	sh.observeSize(m.inner.Len())
-	runtime.KeepAlive(m)
-	return old, present
-}
-
-func (m *stripedMap[K, V]) Get(k K) (V, bool) {
-	stripeOf(m.sh, m.maskBytes).contains.Add(1)
-	return m.inner.Get(k)
-}
-
-func (m *stripedMap[K, V]) Remove(k K) (V, bool) {
-	stripeOf(m.sh, m.maskBytes).middles.Add(1)
-	return m.inner.Remove(k)
-}
-
-func (m *stripedMap[K, V]) ContainsKey(k K) bool {
-	stripeOf(m.sh, m.maskBytes).contains.Add(1)
-	return m.inner.ContainsKey(k)
-}
-
-func (m *stripedMap[K, V]) ForEach(fn func(K, V) bool) {
-	stripeOf(m.sh, m.maskBytes).iterates.Add(1)
-	m.inner.ForEach(fn)
 }

@@ -10,13 +10,12 @@ import (
 
 // BenchmarkMonitorSaturation measures the monitoring tax with every core
 // busy: all workers hammer ONE shared monitored collection, so every
-// profile-counter update lands on the same instance — the worst case for
-// shared-atomic counters (cross-core cache-line ping-pong) and the case the
-// sharded profile is designed to make free. The unmonitored sub-benchmarks
-// run the identical op mix against the bare variant; the monitored-minus-
-// unmonitored ns/op delta is the per-operation monitor overhead at
-// saturation. Run at GOMAXPROCS 1 and NumCPU (deduplicated on single-CPU
-// hosts); results are recorded under results/ and discussed in
+// profile-counter update lands on the same cache line — the worst case for
+// shared-atomic counters (cross-core cache-line ping-pong). The unmonitored
+// sub-benchmarks run the identical op mix against the bare variant; the
+// monitored-minus-unmonitored ns/op delta is the per-operation monitor
+// overhead at saturation. Run at GOMAXPROCS 1 and NumCPU (deduplicated on
+// single-CPU hosts); results are recorded under results/ and discussed in
 // EXPERIMENTS.md ("Monitoring overhead at saturation").
 //
 // The op mix is read-only on the inner collection (Contains probes plus a
@@ -74,7 +73,7 @@ func monitoredSaturationSet(b *testing.B, n int) collections.Set[int] {
 	b.Cleanup(e.Close)
 	ctx := NewSetContext[int](e, WithName("bench:saturation"))
 	s := ctx.NewSet()
-	if !isMonitoredSet(s) {
+	if _, ok := s.(*monitoredSet[int]); !ok {
 		b.Fatal("first instance of a fresh window is not monitored")
 	}
 	for i := 0; i < n; i++ {

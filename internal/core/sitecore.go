@@ -120,8 +120,7 @@ type siteCore[C any, M any] struct {
 	// Immutable after construction.
 	abstraction string                                // "list", "set", "map"
 	factories   map[collections.VariantID]func(int) C //
-	wrap        func(C, *profile) *M                  // wrap a collection in a fresh monitor
-	unwrap      func(*M) C                            // view the monitor as the abstraction
+	wrap        func(C, *profile) (*M, C)             // fresh monitor, as weak-ref target and collection view
 	threshold   int64                                 // adaptive-variant transition threshold
 
 	// state is the lock-free creation gate (see the file comment).
@@ -171,13 +170,12 @@ type siteCore[C any, M any] struct {
 // init populates a zero siteCore in place (it contains atomics and a mutex,
 // so it must never be copied after first use).
 func (c *siteCore[C, M]) init(e *Engine, o ctxOptions, abstraction string, factories map[collections.VariantID]func(int) C,
-	wrap func(C, *profile) *M, unwrap func(*M) C, threshold int64) {
+	wrap func(C, *profile) (*M, C), threshold int64) {
 	c.e = e
 	c.name = o.name
 	c.abstraction = abstraction
 	c.factories = factories
 	c.wrap = wrap
-	c.unwrap = unwrap
 	c.threshold = threshold
 	c.candidates = filterKnown(o.candidates, factories)
 	c.missingWarned = make(map[collections.VariantID]bool)
@@ -260,7 +258,7 @@ func (c *siteCore[C, M]) newCollection() C {
 func (c *siteCore[C, M]) newMonitored() C {
 	inner := c.cur.Load().factory(0)
 	p := newProfile()
-	m := c.wrap(inner, p)
+	m, view := c.wrap(inner, p)
 	rec := &siteRecord[M]{ref: weak.Make(m), p: p}
 	w := c.win.Load()
 	w.mu.Lock()
@@ -279,7 +277,7 @@ func (c *siteCore[C, M]) newMonitored() C {
 	if n == c.e.cfg.WindowSize {
 		c.state.CompareAndSwap(stateOpen, stateWindowFull)
 	}
-	return c.unwrap(m)
+	return view
 }
 
 // currentVariant returns the variant future instantiations will use.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/collections"
 	"repro/internal/perfmodel"
 )
@@ -45,7 +46,7 @@ func TestFig5QuickShape(t *testing.T) {
 	sc := QuickScale()
 	sc.Fig5Sizes = []int{300, 800}
 	sc.Fig5Instances = 3000
-	panels := RunFig5(sc)
+	panels := RunFig5(sc, apps.Obs{})
 	if len(panels) != 5 {
 		t.Fatalf("got %d panels, want 5", len(panels))
 	}
@@ -86,7 +87,7 @@ func TestFig6QuickShape(t *testing.T) {
 	sc := QuickScale()
 	sc.Fig6Instances = 2000
 	sc.Fig6Reps = 2
-	res := RunFig6(sc)
+	res := RunFig6(sc, apps.Obs{})
 	if len(res.Iterations) != 10 { // 5 phases x 2 reps
 		t.Fatalf("got %d iterations, want 10", len(res.Iterations))
 	}
@@ -154,7 +155,7 @@ func TestTable5And6Quick(t *testing.T) {
 	sc.AppScale = 0.05
 	sc.AppMeasured = 3
 	sc.AppWarmup = 0
-	rows := RunTable5(sc)
+	rows := RunTable5(sc, apps.Obs{})
 	if len(rows) != 5 {
 		t.Fatalf("got %d rows, want 5 applications", len(rows))
 	}

@@ -54,15 +54,10 @@ func engineHook(e *core.Engine) func() {
 	}
 }
 
-// RunFig5 measures all five panels at the given scale.
-func RunFig5(sc Scale) []Fig5Panel {
-	return RunFig5Obs(sc, apps.Obs{})
-}
-
-// RunFig5Obs is RunFig5 with o configuring every engine. The sweep
-// measures selection from the declared default, so the warm-start store
-// is left out.
-func RunFig5Obs(sc Scale, o apps.Obs) []Fig5Panel {
+// RunFig5 measures all five panels at the given scale, with o configuring
+// every engine. The sweep measures selection from the declared default, so
+// the warm-start store is left out.
+func RunFig5(sc Scale, o apps.Obs) []Fig5Panel {
 	o.WarmStart = nil
 	panels := []Fig5Panel{
 		{Name: "5a: Lists, Rtime, time vs ArrayList", Rule: "Rtime", Baseline: collections.ArrayListID},

@@ -37,15 +37,10 @@ type Fig6Result struct {
 	Iterations []Fig6Iteration
 }
 
-// RunFig6 measures the multi-phase scenario.
-func RunFig6(sc Scale) Fig6Result {
-	return RunFig6Obs(sc, apps.Obs{})
-}
-
-// RunFig6Obs is RunFig6 with o configuring the engine. The scenario
-// measures adaptation from the declared default, so the warm-start store
-// is left out.
-func RunFig6Obs(sc Scale, o apps.Obs) Fig6Result {
+// RunFig6 measures the multi-phase scenario, with o configuring the
+// engine. The scenario measures adaptation from the declared default, so
+// the warm-start store is left out.
+func RunFig6(sc Scale, o apps.Obs) Fig6Result {
 	o.Label, o.WarmStart = "fig6", nil
 	e := o.NewEngine(core.Config{WindowSize: 100, FinishedRatio: 0.6, Rule: core.Rtime()})
 	defer e.Close()

@@ -24,7 +24,7 @@ func TestTable6ReconstructibleFromTrace(t *testing.T) {
 
 	var trace bytes.Buffer
 	sink := obs.NewJSONLSink(&trace)
-	rows := RunTable5Obs(sc, apps.Obs{Sink: sink, Metrics: obs.NewRegistry()})
+	rows := RunTable5(sc, apps.Obs{Sink: sink, Metrics: obs.NewRegistry()})
 	if err := sink.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}

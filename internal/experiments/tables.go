@@ -40,14 +40,9 @@ func PrintTable4(w io.Writer) {
 	}
 }
 
-// RunTable5 measures the DaCapo-substitute applications.
-func RunTable5(sc Scale) []apps.Row {
-	return RunTable5Obs(sc, apps.Obs{})
-}
-
-// RunTable5Obs is RunTable5 with o configuring every measured run's
-// engine.
-func RunTable5Obs(sc Scale, o apps.Obs) []apps.Row {
+// RunTable5 measures the DaCapo-substitute applications, with o
+// configuring every measured run's engine.
+func RunTable5(sc Scale, o apps.Obs) []apps.Row {
 	return apps.MeasureAll(sc.AppScale, sc.AppWarmup, sc.AppMeasured, o)
 }
 
@@ -182,17 +177,13 @@ type OverheadRow struct {
 	RelChangePct float64
 }
 
-// RunOverhead measures the Section 5.3 framework-overhead experiment.
-func RunOverhead(sc Scale) []OverheadRow {
-	return RunOverheadObs(sc, apps.Obs{})
-}
-
-// RunOverheadObs is RunOverhead with o configuring the measured FullAdap
-// runs' engines. The warm-start store is left out both ways: a restored
+// RunOverhead measures the Section 5.3 framework-overhead experiment, with
+// o configuring the measured FullAdap runs' engines. The warm-start store
+// is left out both ways: a restored
 // variant would make the monitored run differ from the original by more
 // than the framework's overhead, and the impossible rule's site states
 // must not overwrite the stored decisions.
-func RunOverheadObs(sc Scale, o apps.Obs) []OverheadRow {
+func RunOverhead(sc Scale, o apps.Obs) []OverheadRow {
 	o.WarmStart, o.Snapshots = nil, nil
 	var out []OverheadRow
 	for _, app := range apps.All(sc.AppScale) {

@@ -50,7 +50,7 @@ func TestTable6TraceMatchesSeedFixture(t *testing.T) {
 
 	var trace bytes.Buffer
 	sink := obs.NewJSONLSink(&trace)
-	RunTable5Obs(QuickScale(), apps.Obs{Sink: sink, Metrics: obs.NewRegistry(), Parallelism: 1})
+	RunTable5(QuickScale(), apps.Obs{Sink: sink, Metrics: obs.NewRegistry(), Parallelism: 1})
 	if err := sink.Flush(); err != nil {
 		t.Fatalf("flushing trace: %v", err)
 	}
