@@ -190,9 +190,12 @@ func TestDecideEquivalenceAcrossExplainAndConfidence(t *testing.T) {
 		if d3.suppressedTo != "" {
 			t.Fatalf("trial %d: suppression without variance: %+v", trial, d3)
 		}
-		for dim, r := range d1.ratios {
-			if d3.ratios[dim] != r {
-				t.Fatalf("trial %d: ratio drift on %s: %g vs %g", trial, dim, r, d3.ratios[dim])
+		if len(d1.ratios) != len(d3.ratios) {
+			t.Fatalf("trial %d: %d ratios vs %d armed", trial, len(d1.ratios), len(d3.ratios))
+		}
+		for k, r := range d1.ratios {
+			if d3.ratios[k] != r {
+				t.Fatalf("trial %d: ratio drift on %s: %g vs %g", trial, rule.Criteria[k].Dimension, r, d3.ratios[k])
 			}
 		}
 	}

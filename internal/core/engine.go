@@ -620,7 +620,7 @@ func (e *Engine) closeWindow(wc windowClose) (collections.VariantID, *DecisionRe
 		if d.ok {
 			e.logTransition(Transition{
 				Context: wc.name, From: wc.current, To: d.switchTo,
-				Round: wc.round, Ratios: d.ratios, When: time.Now(),
+				Round: wc.round, Ratios: ratioMap(e.cfg.Rule, d.ratios), When: time.Now(),
 			})
 			current = d.switchTo
 		} else if d.suppressedTo != "" {
@@ -643,16 +643,14 @@ func (e *Engine) closeWindow(wc windowClose) (collections.VariantID, *DecisionRe
 		if rec != nil {
 			rec.Candidates = ests
 			var thr1 float64
-			var c1dim perfmodel.Dimension
 			if len(e.cfg.Rule.Criteria) > 0 {
 				thr1 = e.cfg.Rule.Criteria[0].Threshold
-				c1dim = e.cfg.Rule.Criteria[0].Dimension
 			}
 			switch {
 			case d.ok:
 				rec.Outcome = OutcomeSwitched
 				rec.Winner = d.switchTo
-				rec.Margin = thr1 - d.ratios[c1dim]
+				rec.Margin = thr1 - d.ratios[0]
 			case d.suppressedTo != "":
 				rec.Outcome = OutcomeCIOverlap
 				rec.Winner = d.suppressedTo

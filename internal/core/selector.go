@@ -17,6 +17,9 @@ type costAgg struct {
 	models     *perfmodel.Models
 	candidates []collections.VariantID
 	dims       []perfmodel.Dimension
+	// curves[candidateIndex][dimIndex] holds the model cells fold
+	// evaluates, resolved once when the candidate joins the aggregate.
+	curves [][]opCurves
 	// tc[candidateIndex][dimIndex] accumulated total cost.
 	tc     [][]float64
 	folded int
@@ -30,6 +33,34 @@ type costAgg struct {
 	lo, hi [][]float64
 }
 
+// opCurves holds one candidate's resolved curves on one dimension, in
+// perfmodel.Ops() order: populate, contains, iterate, middle. Footprint is
+// charged through the populate curve alone, so on that dimension only
+// index 0 is resolved.
+type opCurves [4]perfmodel.Resolved
+
+// resolveCurves resolves every cell fold evaluates for candidate v over
+// dims. ok is false when the models lack one; op and dim then name the
+// first gap, and evaluating the missing cell panics like Models.Cost.
+func resolveCurves(models *perfmodel.Models, v collections.VariantID, dims []perfmodel.Dimension) (curves []opCurves, op perfmodel.Op, dim perfmodel.Dimension, ok bool) {
+	curves = make([]opCurves, len(dims))
+	ok = true
+	for di, d := range dims {
+		ops := perfmodel.Ops()
+		if d == perfmodel.DimFootprint {
+			ops = ops[:1]
+		}
+		for oi, o := range ops {
+			r, found := models.Resolve(v, o, d)
+			curves[di][oi] = r
+			if !found && ok {
+				op, dim, ok = o, d, false
+			}
+		}
+	}
+	return curves, op, dim, ok
+}
+
 func newCostAgg(models *perfmodel.Models, candidates []collections.VariantID) *costAgg {
 	return newCostAggDims(models, candidates, perfmodel.Dimensions())
 }
@@ -37,17 +68,30 @@ func newCostAgg(models *perfmodel.Models, candidates []collections.VariantID) *c
 // newCostAggDims builds an aggregate over only the given dimensions. The
 // site cores pass the active rule's dimensions: accumulating dimensions the
 // rule never reads would waste fold work and would demand model curves the
-// decision cannot use.
+// decision cannot use. Every candidate joins, priced or not: folding one the
+// models lack a curve for panics like Models.Cost (siteCore.buildAgg drops
+// such candidates first).
 func newCostAggDims(models *perfmodel.Models, candidates []collections.VariantID, dims []perfmodel.Dimension) *costAgg {
+	curves := make([][]opCurves, len(candidates))
+	for i, v := range candidates {
+		curves[i], _, _, _ = resolveCurves(models, v, dims)
+	}
+	return newResolvedAgg(models, candidates, dims, curves)
+}
+
+// newResolvedAgg builds an aggregate whose curves[i] resolveCurves returned
+// for candidates[i] against models over dims.
+func newResolvedAgg(models *perfmodel.Models, candidates []collections.VariantID, dims []perfmodel.Dimension, curves [][]opCurves) *costAgg {
 	a := &costAgg{
 		models:     models,
 		candidates: candidates,
 		dims:       dims,
+		curves:     curves,
 		tc:         make([][]float64, len(candidates)),
 		minSize:    math.MaxInt64,
 	}
 	for i := range a.tc {
-		a.tc[i] = make([]float64, len(a.dims))
+		a.tc[i] = make([]float64, len(dims))
 	}
 	return a
 }
@@ -69,27 +113,6 @@ func (a *costAgg) setConfidence(z float64) {
 	}
 }
 
-// missingCurve reports the first (op, dimension) cell a candidate lacks a
-// model curve for, over exactly the cells fold will evaluate: every critical
-// op per dimension, except footprint which is charged through the populate
-// curve only.
-func missingCurve(models *perfmodel.Models, v collections.VariantID, dims []perfmodel.Dimension) (perfmodel.Op, perfmodel.Dimension, bool) {
-	for _, dim := range dims {
-		if dim == perfmodel.DimFootprint {
-			if !models.Has(v, perfmodel.OpPopulate, dim) {
-				return perfmodel.OpPopulate, dim, true
-			}
-			continue
-		}
-		for _, op := range perfmodel.Ops() {
-			if !models.Has(v, op, dim) {
-				return op, dim, true
-			}
-		}
-	}
-	return "", "", false
-}
-
 // fold adds one instance workload to the running totals.
 func (a *costAgg) fold(w Workload) {
 	a.folded++
@@ -106,23 +129,24 @@ func (a *costAgg) fold(w Workload) {
 	// Populate is modeled per complete population to size s, so the raw
 	// add count converts to "number of populations".
 	popN := float64(w.Adds) / s
-	for ci, v := range a.candidates {
+	for ci, curves := range a.curves {
 		for di, dim := range a.dims {
+			cv := &curves[di]
 			if dim == perfmodel.DimFootprint {
 				// Footprint is a retained-state dimension: charged
 				// once per instance at its maximum size.
-				a.tc[ci][di] += a.models.Cost(v, perfmodel.OpPopulate, dim, s)
+				a.tc[ci][di] += cv[0].Cost(s)
 				if a.z > 0 {
-					l, h := a.models.CostCI(v, perfmodel.OpPopulate, dim, s, a.z)
+					l, h := cv[0].CostCI(s, a.z)
 					a.lo[ci][di] += l
 					a.hi[ci][di] += h
 				}
 				continue
 			}
-			c := popN * a.models.Cost(v, perfmodel.OpPopulate, dim, s)
-			c += float64(w.Contains) * a.models.Cost(v, perfmodel.OpContains, dim, s)
-			c += float64(w.Iterates) * a.models.Cost(v, perfmodel.OpIterate, dim, s)
-			c += float64(w.Middles) * a.models.Cost(v, perfmodel.OpMiddle, dim, s)
+			c := popN * cv[0].Cost(s)
+			c += float64(w.Contains) * cv[1].Cost(s)
+			c += float64(w.Iterates) * cv[2].Cost(s)
+			c += float64(w.Middles) * cv[3].Cost(s)
 			a.tc[ci][di] += c
 			if a.z > 0 {
 				// Interval bounds accumulate with the same multipliers as
@@ -130,10 +154,10 @@ func (a *costAgg) fold(w Workload) {
 				// (and upper with upper) treats the per-op model errors as
 				// perfectly correlated — a conservative widening that can
 				// only suppress switches, never force one.
-				lp, hp := a.models.CostCI(v, perfmodel.OpPopulate, dim, s, a.z)
-				lc, hc := a.models.CostCI(v, perfmodel.OpContains, dim, s, a.z)
-				li, hit := a.models.CostCI(v, perfmodel.OpIterate, dim, s, a.z)
-				lm, hm := a.models.CostCI(v, perfmodel.OpMiddle, dim, s, a.z)
+				lp, hp := cv[0].CostCI(s, a.z)
+				lc, hc := cv[1].CostCI(s, a.z)
+				li, hit := cv[2].CostCI(s, a.z)
+				lm, hm := cv[3].CostCI(s, a.z)
 				a.lo[ci][di] += popN*lp + float64(w.Contains)*lc + float64(w.Iterates)*li + float64(w.Middles)*lm
 				a.hi[ci][di] += popN*hp + float64(w.Contains)*hc + float64(w.Iterates)*hit + float64(w.Middles)*hm
 			}
@@ -167,8 +191,10 @@ func (a *costAgg) sizeSpread() float64 {
 // decision is the outcome of evaluating a rule over an aggregate.
 type decision struct {
 	switchTo collections.VariantID
-	ratios   map[perfmodel.Dimension]float64
-	ok       bool
+	// ratios holds the winner's TC_D(new)/TC_D(cur) per rule criterion, in
+	// rule.Criteria order (ratioMap keys them by dimension).
+	ratios []float64
+	ok     bool
 	// suppressedTo names the best candidate (lowest point first-criterion
 	// ratio) that cleared every point-estimate threshold but was withheld by
 	// the confidence gate: its interval upper ratio exceeded a threshold.
@@ -195,7 +221,8 @@ func decide(a *costAgg, current collections.VariantID, rule Rule, adaptiveSpread
 // eligibility, the first gate each ineligible candidate failed) and the
 // nearest miss — the non-gated alternative with the lowest first-criterion
 // ratio, whether or not it was eligible — for the held-decision margin. The
-// decision itself is computed identically with explain on or off.
+// decision itself is computed identically with explain on or off; without
+// explain, only a winner allocates (its ratios).
 //
 // On a confidence-armed aggregate (setConfidence) a point-eligible candidate
 // must additionally clear every criterion with its interval upper ratio; the
@@ -213,7 +240,16 @@ func decideExplain(a *costAgg, current collections.VariantID, rule Rule, adaptiv
 		return decision{}, nil, "", math.Inf(1)
 	}
 	spread := a.sizeSpread()
-	best := decision{}
+	// Ratio scratch for the candidate under test and for the best one so
+	// far; a rule has one criterion per dimension, so both fit on the stack.
+	n := len(rule.Criteria)
+	var scratch [8]float64
+	buf := scratch[:]
+	if 2*n > len(buf) {
+		buf = make([]float64, 2*n)
+	}
+	ratios, bestRatios := buf[:n], buf[n:2*n]
+	bestIdx := -1
 	bestC1 := math.Inf(1)
 	var estimates []CandidateEstimate
 	var miss collections.VariantID
@@ -226,7 +262,7 @@ func decideExplain(a *costAgg, current collections.VariantID, rule Rule, adaptiv
 	for i, v := range a.candidates {
 		if i == curIdx {
 			if explain {
-				estimates = append(estimates, a.estimate(i, curIdx, rule, false, "current"))
+				estimates = append(estimates, a.estimate(i, curIdx, rule, false, "current", nil))
 			}
 			continue
 		}
@@ -234,24 +270,28 @@ func decideExplain(a *costAgg, current collections.VariantID, rule Rule, adaptiv
 			straddles := a.minSize < adaptiveThreshold && a.maxSize > adaptiveThreshold
 			if spread < adaptiveSpread || !straddles {
 				if explain {
-					estimates = append(estimates, a.estimate(i, curIdx, rule, false, "adaptive size gate"))
+					for k, crit := range rule.Criteria {
+						ratios[k] = a.ratio(i, curIdx, crit.Dimension)
+					}
+					estimates = append(estimates, a.estimate(i, curIdx, rule, false, "adaptive size gate", ratios))
 				}
 				continue
 			}
 		}
-		ratios := make(map[perfmodel.Dimension]float64, len(rule.Criteria))
+		// Without explain the loop stops at the first failed criterion:
+		// only ratios[0] is read then.
 		eligible := true
 		failure := ""
-		for _, crit := range rule.Criteria {
+		for k, crit := range rule.Criteria {
 			ratio := a.ratio(i, curIdx, crit.Dimension)
-			ratios[crit.Dimension] = ratio
+			ratios[k] = ratio
 			if ratio > crit.Threshold {
 				eligible = false
-				if failure == "" {
-					failure = fmt.Sprintf("%s ratio %.4g > threshold %.4g", crit.Dimension, ratio, crit.Threshold)
-				}
 				if !explain {
 					break
+				}
+				if failure == "" {
+					failure = fmt.Sprintf("%s ratio %.4g > threshold %.4g", crit.Dimension, ratio, crit.Threshold)
 				}
 			}
 		}
@@ -266,44 +306,53 @@ func decideExplain(a *costAgg, current collections.VariantID, rule Rule, adaptiv
 				rhi := a.ratioCI(i, curIdx, crit.Dimension)
 				if rhi > crit.Threshold {
 					ciBlocked = true
-					if failure == "" {
-						failure = fmt.Sprintf("ci_overlap: %s upper ratio %.4g > threshold %.4g", crit.Dimension, rhi, crit.Threshold)
-					}
 					if !explain {
 						break
 					}
+					if failure == "" {
+						failure = fmt.Sprintf("ci_overlap: %s upper ratio %.4g > threshold %.4g", crit.Dimension, rhi, crit.Threshold)
+					}
 				}
 			}
-			if ciBlocked {
-				if c1 := ratios[rule.Criteria[0].Dimension]; c1 < supC1 {
-					supC1 = c1
-					supTo = v
-				}
+			if ciBlocked && ratios[0] < supC1 {
+				supC1 = ratios[0]
+				supTo = v
 			}
 		}
 		if explain {
-			est := a.estimate(i, curIdx, rule, eligible && !ciBlocked, failure)
-			est.Ratios = ratios
-			estimates = append(estimates, est)
-			if c1 := ratios[rule.Criteria[0].Dimension]; c1 < missC1 {
-				missC1 = c1
+			estimates = append(estimates, a.estimate(i, curIdx, rule, eligible && !ciBlocked, failure, ratios))
+			if ratios[0] < missC1 {
+				missC1 = ratios[0]
 				miss = v
 			}
 		}
-		if !eligible || ciBlocked {
-			continue
+		if eligible && !ciBlocked && ratios[0] < bestC1 {
+			bestC1 = ratios[0]
+			bestIdx = i
+			// Keep the winner's ratios; the next candidate overwrites the
+			// other buffer.
+			ratios, bestRatios = bestRatios, ratios
 		}
-		c1 := ratios[rule.Criteria[0].Dimension]
-		if c1 < bestC1 {
-			bestC1 = c1
-			best = decision{switchTo: v, ratios: ratios, ok: true}
-		}
+	}
+	var best decision
+	if bestIdx >= 0 {
+		best = decision{switchTo: a.candidates[bestIdx], ratios: append([]float64(nil), bestRatios...), ok: true}
 	}
 	if supTo != "" {
 		best.suppressedTo = supTo
 		best.suppressedC1 = supC1
 	}
 	return best, estimates, miss, missC1
+}
+
+// ratioMap keys per-criterion ratios (rule.Criteria order) by dimension,
+// the form Transition.Ratios and CandidateEstimate.Ratios carry.
+func ratioMap(rule Rule, ratios []float64) map[perfmodel.Dimension]float64 {
+	m := make(map[perfmodel.Dimension]float64, len(ratios))
+	for k, crit := range rule.Criteria {
+		m[crit.Dimension] = ratios[k]
+	}
+	return m
 }
 
 // ratio returns TC_D(candidate ci)/TC_D(candidate curIdx) with the decide
@@ -349,8 +398,10 @@ func (a *costAgg) ratioCI(ci, curIdx int, dim perfmodel.Dimension) float64 {
 }
 
 // estimate builds the explain entry for candidate ci: accumulated costs over
-// every aggregated dimension plus the rule-criterion ratios against curIdx.
-func (a *costAgg) estimate(ci, curIdx int, rule Rule, eligible bool, reason string) CandidateEstimate {
+// every aggregated dimension plus, for a candidate other than the current
+// one, the rule-criterion ratios against curIdx the caller computed
+// (rule.Criteria order).
+func (a *costAgg) estimate(ci, curIdx int, rule Rule, eligible bool, reason string, ratios []float64) CandidateEstimate {
 	costs := make(map[perfmodel.Dimension]float64, len(a.dims))
 	for di, dim := range a.dims {
 		costs[dim] = a.tc[ci][di]
@@ -370,10 +421,7 @@ func (a *costAgg) estimate(ci, curIdx int, rule Rule, eligible bool, reason stri
 		}
 	}
 	if ci != curIdx {
-		est.Ratios = make(map[perfmodel.Dimension]float64, len(rule.Criteria))
-		for _, crit := range rule.Criteria {
-			est.Ratios[crit.Dimension] = a.ratio(ci, curIdx, crit.Dimension)
-		}
+		est.Ratios = ratioMap(rule, ratios)
 		if a.z > 0 {
 			est.RatiosHi = make(map[perfmodel.Dimension]float64, len(rule.Criteria))
 			for _, crit := range rule.Criteria {

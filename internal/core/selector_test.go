@@ -39,7 +39,7 @@ func TestDecideListLookupHeavySwitchesToHashArray(t *testing.T) {
 	if d.switchTo != collections.HashArrayListID {
 		t.Fatalf("switched to %s, want %s", d.switchTo, collections.HashArrayListID)
 	}
-	if r := d.ratios[perfmodel.DimTimeNS]; r >= 0.8 {
+	if r := d.ratios[0]; r >= 0.8 { // Rtime's only criterion: time
 		t.Fatalf("time ratio %g, want < 0.8", r)
 	}
 }
@@ -152,7 +152,7 @@ func TestDecideFullCandidatesSpreadWorkloadPicksMemoryVariant(t *testing.T) {
 	if !memoryish[d.switchTo] {
 		t.Fatalf("switched to %s, not a memory-oriented variant", d.switchTo)
 	}
-	if r := d.ratios[perfmodel.DimAllocB]; r >= 0.8 {
+	if r := d.ratios[0]; r >= 0.8 { // Ralloc's first criterion: alloc
 		t.Fatalf("alloc ratio %g, want < 0.8", r)
 	}
 }

@@ -186,10 +186,11 @@ func (c *siteCore[C, M]) init(e *Engine, o ctxOptions, abstraction string, facto
 }
 
 // buildAgg constructs the cost aggregate for the next monitoring window
-// against the engine's active models: candidates lacking a curve for any
+// against the engine's active models, resolving each candidate's curves
+// once for the whole window. Candidates lacking a curve for any
 // (op × rule-dimension) cell the fold will evaluate are skipped — ranking a
 // partially modeled candidate against fully modeled ones would mis-rank it
-// (and panic in Models.Cost) — and the first gap is reported once per
+// (and panic in the fold) — and the first gap is reported once per
 // (context, variant) per model set through an obs.ModelMissing warning.
 func (c *siteCore[C, M]) buildAgg() *costAgg {
 	models := c.e.models.Load()
@@ -198,10 +199,12 @@ func (c *siteCore[C, M]) buildAgg() *costAgg {
 		clear(c.missingWarned)
 	}
 	usable := make([]collections.VariantID, 0, len(c.candidates))
+	curves := make([][]opCurves, 0, len(c.candidates))
 	for _, v := range c.candidates {
-		op, dim, missing := missingCurve(models, v, c.e.ruleDims)
-		if !missing {
+		cv, op, dim, ok := resolveCurves(models, v, c.e.ruleDims)
+		if ok {
 			usable = append(usable, v)
+			curves = append(curves, cv)
 			continue
 		}
 		if !c.missingWarned[v] {
@@ -218,7 +221,7 @@ func (c *siteCore[C, M]) buildAgg() *costAgg {
 			}
 		}
 	}
-	agg := newCostAggDims(models, usable, c.e.ruleDims)
+	agg := newResolvedAgg(models, usable, c.e.ruleDims, curves)
 	agg.setConfidence(c.e.confZ)
 	return agg
 }

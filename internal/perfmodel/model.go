@@ -83,13 +83,8 @@ type curve struct {
 }
 
 func (c curve) eval(s float64) float64 {
-	for _, p := range c.pieces {
-		if s <= p.upTo {
-			return p.poly.Eval(s)
-		}
-	}
-	if n := len(c.pieces); n > 0 {
-		return c.pieces[n-1].poly.Eval(s)
+	if p, ok := c.pieceAt(s); ok {
+		return p.poly.Eval(s)
 	}
 	return 0
 }
@@ -191,16 +186,53 @@ func (m *Models) Has(v collections.VariantID, op Op, dim Dimension) bool {
 	return ok
 }
 
+// Resolved is one (variant, op, dim) cell of a model set, looked up once so
+// that a caller evaluating it many times — the selection engine folding a
+// window's instances — pays the map lookup once instead of per evaluation.
+// Models.Cost, CostSE and CostCI are Resolve followed by the same method
+// here, so a resolved cell evaluates bit-identically to them. A cell the
+// model set lacks resolves too, and evaluating it panics like Cost.
+type Resolved struct {
+	curve
+	// missing names the cell when the model set has no curve for it.
+	missing *key
+}
+
+// Resolve looks up the (variant, op, dim) curve; ok reports whether the
+// model set has one. The handle keeps the curve as it was at the call: a
+// later Set, Merge or OverlayMeasured on m does not reach it.
+func (m *Models) Resolve(v collections.VariantID, op Op, dim Dimension) (r Resolved, ok bool) {
+	k := key{v, op, dim}
+	cv, ok := m.curves[k]
+	if !ok {
+		return Resolved{missing: &k}, false
+	}
+	return Resolved{curve: cv}, true
+}
+
+// panicMissing is kept out of line: the evaluators run in the engine's fold
+// loop, and the formatting would bloat them.
+//
+//go:noinline
+func (r Resolved) panicMissing() {
+	panic(fmt.Sprintf("perfmodel: no curve for %s/%s/%s", r.missing.Variant, r.missing.Op, r.missing.Dim))
+}
+
 // Cost evaluates cost_{op,V}(size) on dimension dim. Negative evaluations
 // (possible near the origin of a least-squares cubic) are clamped to zero.
 // Querying a missing curve panics: the engine must never silently compare a
 // modeled variant with an unmodeled one.
 func (m *Models) Cost(v collections.VariantID, op Op, dim Dimension, size float64) float64 {
-	cv, ok := m.curves[key{v, op, dim}]
-	if !ok {
-		panic(fmt.Sprintf("perfmodel: no curve for %s/%s/%s", v, op, dim))
+	r, _ := m.Resolve(v, op, dim)
+	return r.Cost(size)
+}
+
+// Cost is Models.Cost on the resolved cell.
+func (r Resolved) Cost(size float64) float64 {
+	if r.missing != nil {
+		r.panicMissing()
 	}
-	c := cv.eval(size)
+	c := r.eval(size)
 	if c < 0 {
 		return 0
 	}
@@ -212,15 +244,14 @@ func (m *Models) Cost(v collections.VariantID, op Op, dim Dimension, size float6
 // variance information (analytic defaults, merged curves), in which case the
 // cost must be treated as exact. Like Cost, it panics on a missing curve.
 func (m *Models) CostSE(v collections.VariantID, op Op, dim Dimension, size float64) (cost, se float64, ok bool) {
-	cv, found := m.curves[key{v, op, dim}]
-	if !found {
-		panic(fmt.Sprintf("perfmodel: no curve for %s/%s/%s", v, op, dim))
-	}
-	cost = cv.eval(size)
-	if cost < 0 {
-		cost = 0
-	}
-	p, found := cv.pieceAt(size)
+	r, _ := m.Resolve(v, op, dim)
+	return r.CostSE(size)
+}
+
+// CostSE is Models.CostSE on the resolved cell.
+func (r Resolved) CostSE(size float64) (cost, se float64, ok bool) {
+	cost = r.Cost(size)
+	p, found := r.pieceAt(size)
 	if !found || len(p.vp.Coeffs) == 0 {
 		return cost, 0, false
 	}
@@ -236,7 +267,13 @@ func (m *Models) CostSE(v collections.VariantID, op Op, dim Dimension, size floa
 // information yields a zero-width interval at the point estimate, so curves
 // that predate uncertainty tracking never widen a decision.
 func (m *Models) CostCI(v collections.VariantID, op Op, dim Dimension, size, z float64) (lo, hi float64) {
-	cost, se, ok := m.CostSE(v, op, dim, size)
+	r, _ := m.Resolve(v, op, dim)
+	return r.CostCI(size, z)
+}
+
+// CostCI is Models.CostCI on the resolved cell.
+func (r Resolved) CostCI(size, z float64) (lo, hi float64) {
+	cost, se, ok := r.CostSE(size)
 	if !ok || se == 0 || z <= 0 {
 		return cost, cost
 	}
