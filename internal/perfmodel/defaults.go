@@ -2,6 +2,7 @@ package perfmodel
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/collections"
 	"repro/internal/polyfit"
@@ -19,59 +20,122 @@ import (
 // machine-built models are interchangeable everywhere — including for
 // user-registered variants carrying a collections.WithAnalytic model.
 
-// fitAnalytic samples fn at the plan sizes and fits the plan-degree
-// polynomial, panicking on failure (defaults are static data; a failure is
-// a programming error).
-func fitAnalytic(fn collections.CostFn, plan Plan) polyfit.Poly {
-	xs := make([]float64, len(plan.Sizes))
-	ys := make([]float64, len(plan.Sizes))
-	for i, s := range plan.Sizes {
-		xs[i] = float64(s)
-		ys[i] = fn(float64(s))
+// sampler fits analytic cost functions over one sample grid. Every subset
+// of the grid a curve is fitted over — the whole grid, and the two regimes
+// of each adaptive threshold — gets one polyfit.Fitter, so its normal
+// matrix is eliminated once however many curves share it, and the sample
+// buffers are reused from curve to curve.
+type sampler struct {
+	sizes   []float64
+	degree  int
+	full    *polyfit.Fitter
+	regimes map[int64]*regimes
+	ys      []float64 // the curve's samples at every grid size
+	lo, hi  []float64 // ys split at the curve's threshold
+}
+
+// regimes are the fitters of an adaptive threshold's two sides: the grid
+// sizes up to the threshold, and those beyond it, each in grid order.
+type regimes struct {
+	below, above *polyfit.Fitter
+}
+
+// newSampler returns a sampler over the default models' grid: the Table 3
+// plan sizes, densified below the adaptive thresholds. With only two
+// Table 3 sizes under 80, a cubic fitted to a piecewise curve sags toward
+// zero there and invents phantom advantages for the adaptive variants on
+// tiny-collection sites.
+func newSampler(degree int) *sampler {
+	var sizes []float64
+	for _, n := range append([]int{20, 30, 40, 60, 70, 80}, DefaultPlan().Sizes...) {
+		sizes = append(sizes, float64(n))
 	}
-	p, err := polyfit.Fit(xs, ys, plan.Degree)
+	full, err := polyfit.NewFitter(sizes, degree)
+	if err != nil {
+		panic(fmt.Sprintf("perfmodel: default fit failed: %v", err))
+	}
+	return &sampler{
+		sizes:   sizes,
+		degree:  degree,
+		full:    full,
+		regimes: make(map[int64]*regimes),
+		ys:      make([]float64, len(sizes)),
+	}
+}
+
+// curve samples fn at the grid sizes and fits it: one polynomial for a
+// variant without an adaptive threshold (thr ≤ 0), a two-regime piecewise
+// curve broken at thr for an adaptive one. A threshold that leaves one
+// regime without a sampled size gets a single polynomial over the whole
+// grid, since there is nothing to fit that regime to.
+func (s *sampler) curve(fn collections.CostFn, thr int64) curve {
+	for i, x := range s.sizes {
+		s.ys[i] = fn(x)
+	}
+	r := s.regimesAt(thr)
+	if r == nil {
+		return curve{pieces: []piece{{upTo: math.Inf(1), poly: mustFit(s.full, s.ys)}}}
+	}
+	s.lo, s.hi = s.split(s.ys, thr, s.lo[:0], s.hi[:0])
+	return curve{pieces: []piece{
+		{upTo: float64(thr), poly: mustFit(r.below, s.lo)},
+		{upTo: math.Inf(1), poly: mustFit(r.above, s.hi)},
+	}}
+}
+
+// split appends vals[i] to lo where the grid size i is at most thr and to
+// hi where it is beyond, keeping grid order.
+func (s *sampler) split(vals []float64, thr int64, lo, hi []float64) ([]float64, []float64) {
+	for i, x := range s.sizes {
+		if x <= float64(thr) {
+			lo = append(lo, vals[i])
+		} else {
+			hi = append(hi, vals[i])
+		}
+	}
+	return lo, hi
+}
+
+// regimesAt returns the fitters of threshold thr, building them on first
+// use, or nil when thr is not adaptive or one side has no grid size.
+func (s *sampler) regimesAt(thr int64) *regimes {
+	if thr <= 0 {
+		return nil
+	}
+	if r, ok := s.regimes[thr]; ok {
+		return r
+	}
+	below, above := s.split(s.sizes, thr, nil, nil)
+	var r *regimes
+	if len(below) > 0 && len(above) > 0 {
+		r = &regimes{below: s.regimeFitter(below), above: s.regimeFitter(above)}
+	}
+	s.regimes[thr] = r
+	return r
+}
+
+// regimeFitter returns a fitter over one regime's sizes at the highest
+// degree, up to the sampler's, that they determine. A regime can hold fewer
+// sizes than the degree needs, and over a narrow range of large sizes the
+// cubic normal matrix fails the pivot test (the sizes above any threshold
+// from 300 to 849). One size always determines degree 0.
+func (s *sampler) regimeFitter(sizes []float64) *polyfit.Fitter {
+	for d := min(s.degree, len(sizes)-1); d >= 0; d-- {
+		if f, err := polyfit.NewFitter(sizes, d); err == nil {
+			return f
+		}
+	}
+	panic(fmt.Sprintf("perfmodel: no polynomial fits sizes %v", sizes))
+}
+
+// mustFit fits ys, panicking on failure (defaults are static data; a
+// failure is a programming error).
+func mustFit(f *polyfit.Fitter, ys []float64) polyfit.Poly {
+	p, err := f.Fit(ys)
 	if err != nil {
 		panic(fmt.Sprintf("perfmodel: default fit failed: %v", err))
 	}
 	return p
-}
-
-// fitSubset fits fn over the plan sizes selected by keep, degrading the
-// polynomial degree when too few points remain.
-func fitSubset(fn collections.CostFn, plan Plan, keep func(int) bool) polyfit.Poly {
-	var xs, ys []float64
-	for _, s := range plan.Sizes {
-		if keep(s) {
-			xs = append(xs, float64(s))
-			ys = append(ys, fn(float64(s)))
-		}
-	}
-	degree := plan.Degree
-	if degree > len(xs)-1 {
-		degree = len(xs) - 1
-	}
-	if degree < 0 {
-		panic("perfmodel: no plan sizes in fit segment")
-	}
-	p, err := polyfit.Fit(xs, ys, degree)
-	if err != nil {
-		panic(fmt.Sprintf("perfmodel: segment fit failed: %v", err))
-	}
-	return p
-}
-
-// setCurves stores fn's fit for one (variant, op, dim): a single fit for
-// ordinary variants, a two-regime piecewise fit at the transition threshold
-// for adaptive ones.
-func setCurves(m *Models, id collections.VariantID, op Op, dim Dimension, fn collections.CostFn, plan Plan) {
-	if !collections.IsAdaptive(id) {
-		m.Set(id, op, dim, fitAnalytic(fn, plan))
-		return
-	}
-	thr := float64(collections.AdaptiveThresholdOf(id))
-	below := fitSubset(fn, plan, func(s int) bool { return float64(s) <= thr })
-	above := fitSubset(fn, plan, func(s int) bool { return float64(s) > thr })
-	m.SetPiecewise(id, op, dim, thr, below, above)
 }
 
 // Default returns the analytic default models for every catalog variant
@@ -87,31 +151,34 @@ func Default() *Models {
 // piecewise adaptive-variant curves badly — the model-degree ablation bench
 // quantifies what that costs in selection quality.
 func DefaultDegree(degree int) *Models {
-	plan := DefaultPlan()
-	plan.Degree = degree
-	// Densify the sample grid below the adaptive thresholds: with only
-	// two Table 3 sizes under 80, a cubic fitted to a piecewise curve
-	// sags toward zero there and invents phantom advantages for the
-	// adaptive variants on tiny-collection sites.
-	small := []int{20, 30, 40, 60, 70, 80}
-	plan.Sizes = append(append([]int(nil), small...), plan.Sizes...)
-	m := NewModels()
+	s := newSampler(degree)
+	entries := collections.Entries()
+	n := 0
+	for _, e := range entries {
+		if av := e.Analytic; av != nil {
+			// Time and energy per timed op; alloc and footprint per op.
+			n += 2 * (len(av.Time) + len(Ops()))
+		}
+	}
+	m := &Models{curves: make(map[key]curve, n)}
 	zero := func(float64) float64 { return 0 }
-	for _, e := range collections.Entries() {
+	for _, e := range entries {
 		av := e.Analytic
 		if av == nil {
 			continue
 		}
-		id := e.Info.ID
-		for op, fn := range av.Time {
-			setCurves(m, id, Op(op), DimTimeNS, fn, plan)
+		set := func(op Op, dim Dimension, fn collections.CostFn) {
+			m.curves[key{e.Info.ID, op, dim}] = s.curve(fn, e.AdaptiveThreshold)
 		}
-		setCurves(m, id, OpPopulate, DimAllocB, av.AllocPopulate, plan)
-		setCurves(m, id, OpMiddle, DimAllocB, av.AllocMiddle, plan)
-		setCurves(m, id, OpContains, DimAllocB, zero, plan)
-		setCurves(m, id, OpIterate, DimAllocB, zero, plan)
+		for op, fn := range av.Time {
+			set(Op(op), DimTimeNS, fn)
+		}
+		set(OpPopulate, DimAllocB, av.AllocPopulate)
+		set(OpMiddle, DimAllocB, av.AllocMiddle)
+		set(OpContains, DimAllocB, zero)
+		set(OpIterate, DimAllocB, zero)
 		for _, op := range Ops() {
-			setCurves(m, id, op, DimFootprint, av.Footprint, plan)
+			set(op, DimFootprint, av.Footprint)
 		}
 	}
 	SynthesizeEnergy(m)

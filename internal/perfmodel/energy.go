@@ -86,7 +86,7 @@ func SynthesizeEnergy(m *Models) {
 		k key
 		c curve
 	}
-	var adds []pending
+	adds := make([]pending, 0, len(m.curves))
 	for k, timeCurve := range m.curves {
 		if k.Dim != DimTimeNS {
 			continue

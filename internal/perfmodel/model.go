@@ -347,6 +347,11 @@ func (m *Models) Merge(other *Models) {
 // polynomial map with no error-propagation rule, so combined curves (the
 // synthesized energy dimension) report no uncertainty.
 func combine(a, b curve, f func(pa, pb polyfit.Poly) polyfit.Poly) curve {
+	// Two single pieces with one bound make one piece, as the merge below
+	// would: the direct path for every non-adaptive curve.
+	if len(a.pieces) == 1 && len(b.pieces) == 1 && a.pieces[0].upTo == b.pieces[0].upTo {
+		return curve{pieces: []piece{{upTo: a.pieces[0].upTo, poly: f(a.pieces[0].poly, b.pieces[0].poly)}}}
+	}
 	bounds := map[float64]bool{}
 	for _, p := range a.pieces {
 		bounds[p.upTo] = true

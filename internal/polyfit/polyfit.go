@@ -63,45 +63,83 @@ var ErrBadFit = errors.New("polyfit: insufficient or degenerate samples")
 // Fit computes the least-squares polynomial of the given degree through the
 // samples (xs[i], ys[i]). It requires len(xs) == len(ys) > degree.
 func Fit(xs, ys []float64, degree int) (Poly, error) {
-	if degree < 0 || len(xs) != len(ys) || len(xs) <= degree {
-		return Poly{}, ErrBadFit
+	f, err := NewFitter(xs, degree)
+	if err != nil {
+		return Poly{}, err
+	}
+	return f.Fit(ys)
+}
+
+// Fitter fits polynomials of one degree through one fixed set of abscissae.
+// The normal matrix (VᵀV) depends on the abscissae alone, so NewFitter
+// eliminates it once and Fit only replays that elimination on each
+// right-hand side Vᵀy. The replay performs the floating-point operations a
+// full elimination of the augmented system would perform on its last column,
+// in the same order, so a Fitter returns the same bits as fitting each
+// sample set from scratch. A Fitter is safe for concurrent use.
+type Fitter struct {
+	n    int       // coefficient count, degree+1
+	pows []float64 // pows[k*len(xs)+i] = xs[i]^k
+	lu   lu
+}
+
+// NewFitter prepares fits of the given degree over xs. It returns ErrBadFit
+// when xs cannot determine such a polynomial: a negative degree, no more
+// points than the degree, or a singular normal matrix.
+func NewFitter(xs []float64, degree int) (*Fitter, error) {
+	if degree < 0 || len(xs) <= degree {
+		return nil, ErrBadFit
 	}
 	n := degree + 1
+	pows := make([]float64, len(xs)*n)
 	// Normal equations: (VᵀV) a = Vᵀy with V the Vandermonde matrix.
 	// VᵀV[i][j] = Σ x^(i+j); Vᵀy[i] = Σ y·x^i.
 	pow := make([]float64, 2*degree+1)
-	for _, x := range xs {
+	for i, x := range xs {
 		xp := 1.0
 		for k := 0; k <= 2*degree; k++ {
+			if k < n {
+				pows[k*len(xs)+i] = xp
+			}
 			pow[k] += xp
 			xp *= x
 		}
 	}
-	rhs := make([]float64, n)
-	for i, x := range xs {
-		xp := 1.0
-		for k := 0; k < n; k++ {
-			rhs[k] += ys[i] * xp
-			xp *= x
-		}
-	}
+	// Row i of VᵀV is pow[i:i+n]; factor copies the rows before eliminating.
 	a := make([][]float64, n)
 	for i := range a {
-		a[i] = make([]float64, n+1)
-		for j := 0; j < n; j++ {
-			a[i][j] = pow[i+j]
-		}
-		a[i][n] = rhs[i]
+		a[i] = pow[i : i+n]
 	}
-	coeffs, err := solve(a)
+	e, err := factor(a)
 	if err != nil {
-		return Poly{}, err
+		return nil, err
 	}
-	return Poly{Coeffs: coeffs}, nil
+	return &Fitter{n: n, pows: pows, lu: e}, nil
 }
 
-// pivotRelTol is the relative pivot threshold of solve: a pivot smaller than
-// pivotRelTol times its column's original norm is treated as zero. The
+// Fit returns the least-squares polynomial through (xs[i], ys[i]) for the
+// abscissae the Fitter was built on, or ErrBadFit when len(ys) differs
+// from len(xs). It allocates only the coefficients.
+func (f *Fitter) Fit(ys []float64) (Poly, error) {
+	m := len(f.pows) / f.n
+	if len(ys) != m {
+		return Poly{}, ErrBadFit
+	}
+	c := make([]float64, f.n)
+	for k := range c {
+		// Σ y·x^k, accumulated in sample order.
+		var sum float64
+		for i, xp := range f.pows[k*m : (k+1)*m] {
+			sum += ys[i] * xp
+		}
+		c[k] = sum
+	}
+	f.lu.solve(c)
+	return Poly{Coeffs: c}, nil
+}
+
+// pivotRelTol is the relative pivot threshold of factor: a pivot smaller
+// than pivotRelTol times its column's original norm is treated as zero. The
 // historical threshold was the absolute constant 1e-12, which is meaningless
 // once the matrix entries are power sums of large sizes — a degree-3 normal
 // matrix over sizes ≥ 1e5 holds entries up to ~1e36, so a numerically dead
@@ -109,14 +147,21 @@ func Fit(xs, ys []float64, degree int) (Poly, error) {
 // check and the elimination "succeeded" with garbage coefficients.
 const pivotRelTol = 1e-12
 
-// solve performs Gaussian elimination with partial pivoting on the n×(n+1)
-// augmented matrix a, returning the solution vector. Pivot degeneracy is
-// judged relative to each column's norm in the original matrix, so detection
-// is invariant under uniform scaling of the system.
-func solve(a [][]float64) ([]float64, error) {
+// lu is a Gaussian elimination with partial pivoting of a square matrix,
+// kept so that it can be replayed on any right-hand side: piv[col] is the
+// row swapped into col at step col, a[r][c] for c >= r is the upper
+// triangle, and a[r][c] for c < r is the multiplier step c applied to the
+// row that ended in r.
+type lu struct {
+	piv []int
+	a   [][]float64
+}
+
+// factor eliminates a copy of the square matrix a, leaving a unchanged.
+// Pivot degeneracy is judged relative to each column's norm in a, so
+// detection is invariant under uniform scaling of the system.
+func factor(a [][]float64) (lu, error) {
 	n := len(a)
-	// Column norms of the matrix as handed in (the coefficient part only),
-	// before elimination rewrites it.
 	colNorm := make([]float64, n)
 	for c := 0; c < n; c++ {
 		for r := 0; r < n; r++ {
@@ -125,34 +170,58 @@ func solve(a [][]float64) ([]float64, error) {
 			}
 		}
 	}
+	buf := make([]float64, n*n)
+	rows := make([][]float64, n)
+	for r := range rows {
+		rows[r] = buf[r*n : (r+1)*n]
+		copy(rows[r], a[r])
+	}
+	piv := make([]int, n)
 	for col := 0; col < n; col++ {
 		// Partial pivot: the row with the largest magnitude in col.
 		pivot := col
 		for r := col + 1; r < n; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[pivot][col]) {
+			if math.Abs(rows[r][col]) > math.Abs(rows[pivot][col]) {
 				pivot = r
 			}
 		}
-		if math.Abs(a[pivot][col]) < pivotRelTol*colNorm[col] {
-			return nil, ErrBadFit
+		if math.Abs(rows[pivot][col]) < pivotRelTol*colNorm[col] {
+			return lu{}, ErrBadFit
 		}
-		a[col], a[pivot] = a[pivot], a[col]
+		piv[col] = pivot
+		rows[col], rows[pivot] = rows[pivot], rows[col]
 		for r := col + 1; r < n; r++ {
-			f := a[r][col] / a[col][col]
-			for c := col; c <= n; c++ {
-				a[r][c] -= f * a[col][c]
+			f := rows[r][col] / rows[col][col]
+			for c := col + 1; c < n; c++ {
+				rows[r][c] -= f * rows[col][c]
 			}
+			rows[r][col] = f
 		}
 	}
-	x := make([]float64, n)
+	return lu{piv: piv, a: rows}, nil
+}
+
+// solve overwrites b with the solution of the factored system. Swapping all
+// rows first and subtracting the multipliers after is the elimination's own
+// arithmetic on an augmented column: the multipliers moved with their rows,
+// so every entry receives the same subtractions in the same order.
+func (e lu) solve(b []float64) {
+	n := len(e.piv)
+	for col, p := range e.piv {
+		b[col], b[p] = b[p], b[col]
+	}
+	for col := 0; col < n; col++ {
+		for r := col + 1; r < n; r++ {
+			b[r] -= e.a[r][col] * b[col]
+		}
+	}
 	for i := n - 1; i >= 0; i-- {
-		sum := a[i][n]
+		sum := b[i]
 		for j := i + 1; j < n; j++ {
-			sum -= a[i][j] * x[j]
+			sum -= e.a[i][j] * b[j]
 		}
-		x[i] = sum / a[i][i]
+		b[i] = sum / e.a[i][i]
 	}
-	return x, nil
 }
 
 // Residuals returns ys[i] - p.Eval(xs[i]) for each sample.

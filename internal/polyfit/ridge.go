@@ -221,20 +221,18 @@ func FitRidge(s *Samples, degree int, lambda float64) (FitResult, error) {
 		}
 	}
 	// A = M + λ·n·I, solved for the standardized slopes.
-	aug := make([][]float64, d)
 	a := make([][]float64, d)
 	for j := 0; j < d; j++ {
 		a[j] = make([]float64, d)
 		copy(a[j], m[j])
 		a[j][j] += lambda * nf
-		aug[j] = make([]float64, d+1)
-		copy(aug[j], a[j])
-		aug[j][d] = rhs[j]
 	}
-	b, err := solve(aug)
+	e, err := factor(a)
 	if err != nil {
 		return FitResult{}, err
 	}
+	b := rhs // solved in place: the standardized slopes
+	e.solve(b)
 	// Back to the raw basis: coeff on x^j is b_j/s_j, intercept from means.
 	stdPoly := Poly{Coeffs: make([]float64, d+1)}
 	intercept := ymean
@@ -343,7 +341,7 @@ func FitGCV(s *Samples, degree int) (FitResult, error) {
 
 // inverse returns the inverse of the square matrix m via Gauss–Jordan
 // elimination with partial pivoting and the same column-relative degeneracy
-// test as solve.
+// test as factor.
 func inverse(m [][]float64) ([][]float64, error) {
 	d := len(m)
 	a := make([][]float64, d)
