@@ -180,7 +180,7 @@ func ablationRun(cfg core.Config, instances int) bool {
 		runtime.GC()
 		e.AnalyzeNow()
 	}
-	workload.SinglePhaseListHook(ctx.NewList, instances, 500, 500, 1, instances/10, hook)
+	workload.SinglePhaseList(ctx.NewList, instances, 500, 500, 1, instances/10, hook)
 	return ctx.CurrentVariant() != collections.ArrayListID
 }
 

@@ -40,7 +40,7 @@ func main() {
 	fmt.Printf("%-20s %-18s %10s\n", "phase", "variant in use", "time (ms)")
 	for _, phase := range workload.Phases() {
 		for rep := 0; rep < 3; rep++ {
-			elapsed, _ := workload.MultiPhaseIterationHook(
+			elapsed, _ := workload.MultiPhaseIteration(
 				ctx.NewList, phase, instances, size, ops, int64(rep+1),
 				instances/10, hook)
 			fmt.Printf("%-20s %-18s %10.1f\n",

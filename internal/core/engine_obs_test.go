@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -325,5 +328,180 @@ func TestMetricsRegistryRaceClean(t *testing.T) {
 	wg.Wait()
 	if got := reg.TransitionCounts()[obs.TransitionKey{Context: "race", From: "a", To: "b"}]; got != 800 {
 		t.Errorf("race transition count = %d, want 800", got)
+	}
+}
+
+// sinkFunc adapts a function to obs.Sink.
+type sinkFunc func(obs.Event)
+
+func (f sinkFunc) Emit(ev obs.Event) { f(ev) }
+
+// TestPassEventsReachSinkDuringPass pins per-event delivery: an analysis
+// pass's events reach the sink while the pass runs, so a flight recorder
+// (and the /events endpoint and SIGQUIT dump it backs) shows an unfinished
+// pass. The probe sits behind the recorder in one Multi, so when it sees a
+// WindowClosed the recorder must hold that pass's RoundStarted and not yet
+// its RoundCompleted.
+func TestPassEventsReachSinkDuringPass(t *testing.T) {
+	rec := obs.NewFlightRecorder(256)
+	pass, windows := 0, 0
+	probe := sinkFunc(func(ev obs.Event) {
+		if _, ok := ev.(obs.WindowClosed); !ok {
+			return
+		}
+		windows++
+		started, completed := false, false
+		for _, te := range rec.Snapshot() {
+			switch m := te.Event.(type) {
+			case obs.RoundStarted:
+				started = started || m.Round == pass
+			case obs.RoundCompleted:
+				completed = completed || m.Round == pass
+			}
+		}
+		if !started || completed {
+			t.Errorf("pass %d: WindowClosed reached the sink with RoundStarted recorded = %v, RoundCompleted recorded = %v; want true, false",
+				pass, started, completed)
+		}
+	})
+	e := NewEngineManual(Config{
+		WindowSize:          4,
+		FinishedRatio:       0.6,
+		Rule:                Rtime(),
+		CooldownWindows:     -1,
+		AnalysisParallelism: 1,
+		Sink:                obs.Multi(rec, probe),
+	})
+	defer e.Close()
+	ctx := NewListContext[int](e, WithName("live:list"))
+	const passes = 3
+	for pass = 0; pass < passes; pass++ {
+		churnLists(ctx, 4, 50, 50)
+		e.AnalyzeNow()
+	}
+	if windows != passes {
+		t.Fatalf("probe saw %d WindowClosed events, want %d", windows, passes)
+	}
+}
+
+// runSeededPasses drives one seeded workload over nine list contexts
+// through four analysis passes at the given parallelism. It returns the
+// engine's whole event stream and the context names in registration order.
+func runSeededPasses(parallelism int) ([]obs.Event, []string) {
+	const window = 8
+	col := obs.NewCollector()
+	e := NewEngineManual(Config{
+		WindowSize:          window,
+		FinishedRatio:       0.6,
+		Rule:                Rtime(),
+		CooldownWindows:     -1,
+		AnalysisParallelism: parallelism,
+		AnalysisSpans:       true,
+		Name:                "parallel",
+		Sink:                col,
+	})
+	ctxs := make([]*ListContext[int], 9)
+	names := make([]string, len(ctxs))
+	for i := range ctxs {
+		ctxs[i] = NewListContext[int](e, WithName(fmt.Sprintf("par:list%d", i)))
+		names[i] = ctxs[i].Name()
+	}
+	rng := rand.New(rand.NewSource(16))
+	for range 4 {
+		// Up to 1.5 windows per context: some contexts close a window in a
+		// pass and others do not.
+		for _, c := range ctxs {
+			churnLists(c, rng.Intn(window+window/2), 1+rng.Intn(300), rng.Intn(300))
+		}
+		e.AnalyzeNow()
+	}
+	e.Close()
+	return col.Events(), names
+}
+
+// TestParallelPassDeliversEveryEvent pins event delivery when analysis
+// workers emit straight into the sink: at parallelism 1 and 2 every pass's
+// events lie between its RoundStarted and RoundCompleted, each context
+// whose round advanced in a pass reports exactly one WindowClosed in it,
+// both runs emit the same number of events of each kind, and at 1 the
+// contexts are analyzed in registration order.
+func TestParallelPassDeliversEveryEvent(t *testing.T) {
+	counts := map[int]map[obs.Kind]int{}
+	for _, par := range []int{1, 2} {
+		events, names := runSeededPasses(par)
+		kinds := map[obs.Kind]int{}
+		open := -1 // index of the running pass; -1 between passes
+		var inPass []obs.Event
+		rounds := map[string]int{} // context -> completed rounds at the last pass end
+		for _, ev := range events {
+			kinds[ev.EventKind()]++
+			switch m := ev.(type) {
+			case obs.RoundStarted:
+				if open >= 0 {
+					t.Fatalf("parallelism %d: RoundStarted %d inside pass %d", par, m.Round, open)
+				}
+				open, inPass = m.Round, nil
+			case obs.RoundCompleted:
+				if m.Round != open {
+					t.Fatalf("parallelism %d: RoundCompleted %d closes pass %d", par, m.Round, open)
+				}
+				closes := map[string]int{}
+				var analyzed []string
+				for _, pe := range inPass {
+					switch x := pe.(type) {
+					case obs.WindowClosed:
+						closes[x.Context]++
+					case obs.ContextAnalyzed:
+						analyzed = append(analyzed, x.Context)
+					}
+				}
+				for _, st := range m.Contexts {
+					if want := st.Round - rounds[st.Context]; closes[st.Context] != want {
+						t.Errorf("parallelism %d, pass %d: %s sent %d WindowClosed, want %d",
+							par, open, st.Context, closes[st.Context], want)
+					}
+					rounds[st.Context] = st.Round
+				}
+				if len(analyzed) != len(names) {
+					t.Errorf("parallelism %d, pass %d: %d contexts analyzed, want %d", par, open, len(analyzed), len(names))
+				} else if par == 1 && fmt.Sprint(analyzed) != fmt.Sprint(names) {
+					t.Errorf("pass %d at parallelism 1 analyzed %v, want registration order %v", open, analyzed, names)
+				}
+				open = -1
+			case obs.WindowClosed, obs.Transition, obs.CooldownEntered, obs.ContextAnalyzed:
+				if open < 0 {
+					t.Errorf("parallelism %d: %s outside any pass", par, ev.EventKind())
+				}
+				inPass = append(inPass, ev)
+			}
+		}
+		if kinds[obs.KindWindowClosed] == 0 || kinds[obs.KindRoundCompleted] == 0 {
+			t.Fatalf("parallelism %d: workload closed no window: %v", par, kinds)
+		}
+		counts[par] = kinds
+	}
+	if fmt.Sprint(counts[1]) != fmt.Sprint(counts[2]) {
+		t.Errorf("per-kind event counts differ:\n parallelism 1: %v\n parallelism 2: %v", counts[1], counts[2])
+	}
+}
+
+// failWriter fails every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestCloseCountsSinkFlushError pins collectionswitch_sink_flush_errors_total:
+// a buffering sink whose flush fails at Close is counted once, and the other
+// sinks of the same Multi still receive EngineClosed.
+func TestCloseCountsSinkFlushError(t *testing.T) {
+	col := obs.NewCollector()
+	e := NewEngineManual(Config{Name: "flushfail", Sink: obs.Multi(obs.NewJSONLSink(failWriter{}), col)})
+	NewListContext[int](e, WithName("flushfail:list")).NewList().Add(1)
+	e.Close()
+	if got := e.Metrics().SinkFlushErrors.Load(); got != 1 {
+		t.Errorf("SinkFlushErrors = %d, want 1", got)
+	}
+	if _, ok := firstOfKind(col.Events(), obs.KindEngineClosed); !ok {
+		t.Error("collector behind the failing JSONL sink got no EngineClosed")
 	}
 }

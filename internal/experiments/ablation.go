@@ -52,7 +52,7 @@ func runAblationCell(cfg core.Config, instances, size, lookups int) (bool, int, 
 	if every < 1 {
 		every = 1
 	}
-	res, _ := workload.SinglePhaseListHook(func() collections.List[int] {
+	res, _ := workload.SinglePhaseList(func() collections.List[int] {
 		created++
 		return ctx.NewList()
 	}, instances, size, lookups, 1, every, hook)

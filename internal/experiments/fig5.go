@@ -89,10 +89,10 @@ func fig5List(rule core.Rule, size, instances, lookups, every int, o apps.Obs) F
 	e := newFig5Engine(rule, fmt.Sprintf("fig5a@%d", size), o)
 	defer e.Close()
 	ctx := core.NewListContext[int](e, core.WithName(fmt.Sprintf("fig5a@%d", size)))
-	swRes, _ := workload.SinglePhaseListHook(ctx.NewList, instances, size, lookups, int64(size), every, engineHook(e))
+	swRes, _ := workload.SinglePhaseList(ctx.NewList, instances, size, lookups, int64(size), every, engineHook(e))
 	baseRes, _ := workload.SinglePhaseList(func() collections.List[int] {
 		return collections.NewArrayList[int]()
-	}, instances, size, lookups, int64(size))
+	}, instances, size, lookups, int64(size), 0, nil)
 	p := Fig5Point{
 		Size:          size,
 		SwitchTime:    swRes.Elapsed.Seconds(),
@@ -110,10 +110,10 @@ func fig5Set(rule core.Rule, size, instances, lookups, every int, o apps.Obs) Fi
 	e := newFig5Engine(rule, fmt.Sprintf("fig5set@%d", size), o)
 	defer e.Close()
 	ctx := core.NewSetContext[int](e, core.WithName(fmt.Sprintf("fig5set@%d", size)))
-	swRes, _ := workload.SinglePhaseSetHook(ctx.NewSet, instances, size, lookups, int64(size), every, engineHook(e))
+	swRes, _ := workload.SinglePhaseSet(ctx.NewSet, instances, size, lookups, int64(size), every, engineHook(e))
 	baseRes, _ := workload.SinglePhaseSet(func() collections.Set[int] {
 		return collections.NewHashSet[int]()
-	}, instances, size, lookups, int64(size))
+	}, instances, size, lookups, int64(size), 0, nil)
 	p := Fig5Point{
 		Size:          size,
 		SwitchTime:    swRes.Elapsed.Seconds(),
@@ -131,10 +131,10 @@ func fig5Map(rule core.Rule, size, instances, lookups, every int, o apps.Obs) Fi
 	e := newFig5Engine(rule, fmt.Sprintf("fig5map@%d", size), o)
 	defer e.Close()
 	ctx := core.NewMapContext[int, int](e, core.WithName(fmt.Sprintf("fig5map@%d", size)))
-	swRes, _ := workload.SinglePhaseMapHook(ctx.NewMap, instances, size, lookups, int64(size), every, engineHook(e))
+	swRes, _ := workload.SinglePhaseMap(ctx.NewMap, instances, size, lookups, int64(size), every, engineHook(e))
 	baseRes, _ := workload.SinglePhaseMap(func() collections.Map[int, int] {
 		return collections.NewHashMap[int, int]()
-	}, instances, size, lookups, int64(size))
+	}, instances, size, lookups, int64(size), 0, nil)
 	p := Fig5Point{
 		Size:          size,
 		SwitchTime:    swRes.Elapsed.Seconds(),

@@ -55,10 +55,8 @@ func RunFig6(sc Scale, o apps.Obs) Fig6Result {
 			it := Fig6Iteration{Index: idx, Phase: phase}
 
 			// CollectionSwitch run: analysis happens between batches.
-			every := sc.Fig6Instances / 10
-			batchedHook := hook
-			elapsed, _ := workload.MultiPhaseIterationHook(ctx.NewList, phase,
-				sc.Fig6Instances, sc.Fig6Size, sc.Fig6Ops, seed, every, batchedHook)
+			elapsed, _ := workload.MultiPhaseIteration(ctx.NewList, phase,
+				sc.Fig6Instances, sc.Fig6Size, sc.Fig6Ops, seed, sc.Fig6Instances/10, hook)
 			it.Switch = float64(elapsed.Microseconds()) / 1000
 			it.SwitchVariant = ctx.CurrentVariant()
 			// Give the engine a final chance to adapt before the next
@@ -77,7 +75,7 @@ func RunFig6(sc Scale, o apps.Obs) Fig6Result {
 				id := fixed.id
 				el, _ := workload.MultiPhaseIteration(func() collections.List[int] {
 					return collections.NewListOf[int](id, 0)
-				}, phase, sc.Fig6Instances, sc.Fig6Size, sc.Fig6Ops, seed)
+				}, phase, sc.Fig6Instances, sc.Fig6Size, sc.Fig6Ops, seed, 0, nil)
 				*fixed.dest = float64(el.Microseconds()) / 1000
 			}
 			res.Iterations = append(res.Iterations, it)

@@ -1,41 +1,5 @@
 package obs
 
-import "sync"
-
-// Batched event emission. An analysis pass can produce a burst of events
-// (round markers, per-context window closes, transitions, spans); emitting
-// each one straight into a sink chain costs one lock acquisition and one
-// writer call per event, on the analysis goroutine. A Batch accumulates the
-// pass's events and delivers them in a single EmitAll call at the end of the
-// pass — sinks that implement BatchSink take their lock once per pass
-// instead of once per event. Delivery preserves emission order exactly
-// (pinned by TestBatchPreservesOrder): a batched trace is line-identical to
-// an unbatched one modulo timestamps.
-
-// BatchSink is the optional sink extension for batched delivery. EmitBatch
-// must behave exactly like calling Emit for each event in slice order; the
-// callee must not retain the slice.
-type BatchSink interface {
-	Sink
-	EmitBatch(events []Event)
-}
-
-// EmitAll delivers events to the sink in slice order, through one EmitBatch
-// call when the sink supports it and per-event Emit otherwise. Nil sinks and
-// empty batches are no-ops.
-func EmitAll(s Sink, events []Event) {
-	if s == nil || len(events) == 0 {
-		return
-	}
-	if bs, ok := s.(BatchSink); ok {
-		bs.EmitBatch(events)
-		return
-	}
-	for _, e := range events {
-		s.Emit(e)
-	}
-}
-
 // Flusher is the optional sink extension for explicit draining: sinks that
 // buffer (JSONLSink) or fan out to buffering children (Multi) expose it so
 // an engine Close can force the tail of the event stream out.
@@ -49,54 +13,5 @@ func FlushSink(s Sink) error {
 	if f, ok := s.(Flusher); ok {
 		return f.Flush()
 	}
-	return nil
-}
-
-// Batch is an order-preserving event accumulator, itself a Sink: events
-// emitted into it are buffered until Flush hands them to the destination in
-// one EmitAll call. It is safe for concurrent emitters (parallel analysis
-// workers share the pass's batch); order within one goroutine is preserved,
-// and at one emitter the global order is exact.
-type Batch struct {
-	mu     sync.Mutex
-	dest   Sink
-	events []Event
-}
-
-// NewBatch returns an empty batch draining into dest on Flush.
-func NewBatch(dest Sink) *Batch {
-	return &Batch{dest: dest}
-}
-
-// Emit buffers the event.
-func (b *Batch) Emit(e Event) {
-	b.mu.Lock()
-	b.events = append(b.events, e)
-	b.mu.Unlock()
-}
-
-// EmitBatch buffers the events in order.
-func (b *Batch) EmitBatch(events []Event) {
-	b.mu.Lock()
-	b.events = append(b.events, events...)
-	b.mu.Unlock()
-}
-
-// Len returns the number of buffered events.
-func (b *Batch) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.events)
-}
-
-// Flush delivers the buffered events to the destination in emission order
-// and empties the batch. The buffer is handed off, not reused, so the
-// destination's no-retain obligation cannot be violated by a later Emit.
-func (b *Batch) Flush() error {
-	b.mu.Lock()
-	events := b.events
-	b.events = nil
-	b.mu.Unlock()
-	EmitAll(b.dest, events)
 	return nil
 }

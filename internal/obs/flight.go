@@ -43,24 +43,8 @@ func (r *FlightRecorder) Emit(e Event) {
 	now := time.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.push(TimedEvent{When: now, Event: e})
-}
-
-// EmitBatch appends the events in slice order under one lock acquisition,
-// all stamped with the delivery time (a batch is delivered at the end of
-// the analysis pass that produced it).
-func (r *FlightRecorder) EmitBatch(events []Event) {
-	now := time.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, e := range events {
-		r.push(TimedEvent{When: now, Event: e})
-	}
-}
-
-// push appends te, evicting the oldest entry when full. r.mu must be held.
-func (r *FlightRecorder) push(te TimedEvent) {
 	r.total++
+	te := TimedEvent{When: now, Event: e}
 	if r.n < len(r.buf) {
 		r.buf[(r.start+r.n)%len(r.buf)] = te
 		r.n++

@@ -58,35 +58,6 @@ func (s *JSONLSink) Emit(e Event) {
 	s.err = s.w.WriteByte('\n')
 }
 
-// EmitBatch serializes the events as consecutive JSONL lines under a single
-// lock acquisition, in slice order — a batched trace differs from a per-event
-// one only in timestamps. Each line still carries its own write-time stamp,
-// preserving the envelope schema exactly.
-func (s *JSONLSink) EmitBatch(events []Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range events {
-		if s.err != nil {
-			return
-		}
-		payload, err := json.Marshal(e)
-		if err != nil {
-			s.err = err
-			return
-		}
-		line, err := json.Marshal(envelope{Kind: e.EventKind(), Time: time.Now().UnixNano(), Ev: payload})
-		if err != nil {
-			s.err = err
-			return
-		}
-		if _, err := s.w.Write(line); err != nil {
-			s.err = err
-			return
-		}
-		s.err = s.w.WriteByte('\n')
-	}
-}
-
 // Flush drains the buffer and returns the first error seen so far.
 func (s *JSONLSink) Flush() error {
 	s.mu.Lock()

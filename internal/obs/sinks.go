@@ -20,13 +20,6 @@ func (s *Collector) Emit(e Event) {
 	s.mu.Unlock()
 }
 
-// EmitBatch appends the events in slice order under one lock acquisition.
-func (s *Collector) EmitBatch(events []Event) {
-	s.mu.Lock()
-	s.events = append(s.events, events...)
-	s.mu.Unlock()
-}
-
 // Events returns a copy of every event in emission order.
 func (s *Collector) Events() []Event {
 	s.mu.Lock()
@@ -44,14 +37,6 @@ type multiSink struct {
 func (m multiSink) Emit(e Event) {
 	for _, s := range m.sinks {
 		s.Emit(e)
-	}
-}
-
-// EmitBatch forwards the whole batch to each child in order, so children
-// that support batched delivery keep their one-lock-per-pass property.
-func (m multiSink) EmitBatch(events []Event) {
-	for _, s := range m.sinks {
-		EmitAll(s, events)
 	}
 }
 
@@ -92,13 +77,6 @@ type countingSink struct{ reg *Registry }
 
 func (s countingSink) Emit(e Event) { s.reg.IncEvent(e.EventKind()) }
 
-// EmitBatch counts each event of the batch.
-func (s countingSink) EmitBatch(events []Event) {
-	for _, e := range events {
-		s.reg.IncEvent(e.EventKind())
-	}
-}
-
 // CountingSink returns a sink that counts events by kind into the
 // registry's events_total counters — the /metrics view of event traffic.
 // Fan it out next to the real sinks with Multi. Nil registries yield a nil
@@ -113,7 +91,9 @@ func CountingSink(r *Registry) Sink {
 // LogfSink adapts a printf-style callback to the event stream: every event
 // is rendered through its Logline formatting. The events of the original
 // printf trace log render byte-identically, so pre-existing log scrapers
-// keep working.
+// keep working. The sink adds no locking: fn may be called concurrently
+// (parallel analysis workers emit directly), so it must be safe for
+// concurrent use, as log.Printf and testing.T.Logf are.
 type LogfSink struct {
 	fn func(format string, args ...any)
 }
@@ -130,15 +110,4 @@ func (s *LogfSink) Emit(e Event) {
 	}
 	format, args := e.Logline()
 	s.fn(format, args...)
-}
-
-// EmitBatch formats each event of the batch in order.
-func (s *LogfSink) EmitBatch(events []Event) {
-	if s.fn == nil {
-		return
-	}
-	for _, e := range events {
-		format, args := e.Logline()
-		s.fn(format, args...)
-	}
 }

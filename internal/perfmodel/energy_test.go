@@ -113,12 +113,11 @@ func TestBuilderModelsGetEnergy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builder benchmarks are slow")
 	}
-	plan := QuickPlan()
-	plan.Sizes = []int{10, 50, 120}
-	m, err := NewBuilder(plan).BuildLists()
+	built, err := quickLists()
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := built.Clone()
 	SynthesizeEnergy(m)
 	for _, v := range collections.ListVariants[int]() {
 		if !m.Has(v.ID, OpContains, DimEnergy) {

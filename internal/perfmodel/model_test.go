@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/collections"
@@ -237,16 +238,26 @@ func TestDefaultPlanMatchesTable3(t *testing.T) {
 	}
 }
 
+// quickListProgress counts the Progress callbacks of the quickLists build.
+var quickListProgress int
+
+// quickLists builds the list models of a quick plan over sizes {10, 50, 200}
+// once per test binary, for every test that needs measured list curves: a
+// build is the slowest step of this package's tests. A test that changes
+// the models works on a Clone.
+var quickLists = sync.OnceValues(func() (*Models, error) {
+	plan := QuickPlan()
+	plan.Sizes = []int{10, 50, 200}
+	b := NewBuilder(plan)
+	b.Progress = func(collections.VariantID, Op) { quickListProgress++ }
+	return b.BuildLists()
+})
+
 func TestBuilderQuickPlanLists(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builder benchmarks are slow")
 	}
-	plan := QuickPlan()
-	plan.Sizes = []int{10, 50, 200}
-	b := NewBuilder(plan)
-	var progressed int
-	b.Progress = func(collections.VariantID, Op) { progressed++ }
-	m, err := b.BuildLists()
+	m, err := quickLists()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +271,7 @@ func TestBuilderQuickPlanLists(t *testing.T) {
 			}
 		}
 	}
-	if progressed == 0 {
+	if quickListProgress == 0 {
 		t.Error("progress callback never invoked")
 	}
 	// Sanity: the measured ArrayList contains cost must grow with size.

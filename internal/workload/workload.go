@@ -31,19 +31,45 @@ func measure(fn func()) Result {
 	return Result{Elapsed: elapsed, AllocBytes: after.TotalAlloc - before.TotalAlloc}
 }
 
-// SinglePhaseList is the Figure 5a scenario: create instances lists, add
-// size uniform elements to each, then run lookups Contains calls per
-// instance. The sink return defeats dead-code elimination.
-func SinglePhaseList(newList func() collections.List[int], instances, size, lookups int, seed int64) (Result, int) {
+// draw returns the inputs every runner derives from its seed: size distinct
+// keys from [0, 2·size) and 128 lookup probes from the same range.
+func draw(size int, seed int64) (keys, probes []int) {
 	r := rand.New(rand.NewSource(seed))
-	keys := r.Perm(size * 2)[:size]
-	probes := make([]int, 128)
+	keys = r.Perm(size * 2)[:size]
+	probes = make([]int, 128)
 	for i := range probes {
 		probes[i] = r.Intn(size * 2)
 	}
+	return keys, probes
+}
+
+// repeat runs body once per instance. A non-nil hook runs after every
+// `every` instances, or once after the last when every <= 0. Runs whose
+// factory comes from a CollectionSwitch allocation context use the hook to
+// force a GC (so monitors' weak references clear) and drive the analysis
+// engine — the role the JVM's GC and the background analyzer thread play in
+// the paper's setup. A nil hook is a plain run.
+func repeat(instances, every int, hook func(), body func()) {
+	if every <= 0 {
+		every = instances
+	}
+	for i := 1; i <= instances; i++ {
+		body()
+		if hook != nil && i%every == 0 {
+			hook()
+		}
+	}
+}
+
+// SinglePhaseList is the Figure 5a scenario: create instances lists, add
+// size uniform elements to each, then run lookups Contains calls per
+// instance, calling hook as repeat describes. The sink return defeats
+// dead-code elimination.
+func SinglePhaseList(newList func() collections.List[int], instances, size, lookups int, seed int64, every int, hook func()) (Result, int) {
+	keys, probes := draw(size, seed)
 	sink := 0
 	res := measure(func() {
-		for i := 0; i < instances; i++ {
+		repeat(instances, every, hook, func() {
 			l := newList()
 			for _, k := range keys {
 				l.Add(k)
@@ -53,22 +79,17 @@ func SinglePhaseList(newList func() collections.List[int], instances, size, look
 					sink++
 				}
 			}
-		}
+		})
 	})
 	return res, sink
 }
 
 // SinglePhaseSet is the Figure 5b/5d scenario for sets.
-func SinglePhaseSet(newSet func() collections.Set[int], instances, size, lookups int, seed int64) (Result, int) {
-	r := rand.New(rand.NewSource(seed))
-	keys := r.Perm(size * 2)[:size]
-	probes := make([]int, 128)
-	for i := range probes {
-		probes[i] = r.Intn(size * 2)
-	}
+func SinglePhaseSet(newSet func() collections.Set[int], instances, size, lookups int, seed int64, every int, hook func()) (Result, int) {
+	keys, probes := draw(size, seed)
 	sink := 0
 	res := measure(func() {
-		for i := 0; i < instances; i++ {
+		repeat(instances, every, hook, func() {
 			s := newSet()
 			for _, k := range keys {
 				s.Add(k)
@@ -78,22 +99,17 @@ func SinglePhaseSet(newSet func() collections.Set[int], instances, size, lookups
 					sink++
 				}
 			}
-		}
+		})
 	})
 	return res, sink
 }
 
 // SinglePhaseMap is the Figure 5c/5e scenario for maps.
-func SinglePhaseMap(newMap func() collections.Map[int, int], instances, size, lookups int, seed int64) (Result, int) {
-	r := rand.New(rand.NewSource(seed))
-	keys := r.Perm(size * 2)[:size]
-	probes := make([]int, 128)
-	for i := range probes {
-		probes[i] = r.Intn(size * 2)
-	}
+func SinglePhaseMap(newMap func() collections.Map[int, int], instances, size, lookups int, seed int64, every int, hook func()) (Result, int) {
+	keys, probes := draw(size, seed)
 	sink := 0
 	res := measure(func() {
-		for i := 0; i < instances; i++ {
+		repeat(instances, every, hook, func() {
 			m := newMap()
 			for _, k := range keys {
 				m.Put(k, k)
@@ -103,7 +119,7 @@ func SinglePhaseMap(newMap func() collections.Map[int, int], instances, size, lo
 					sink++
 				}
 			}
-		}
+		})
 	})
 	return res, sink
 }
@@ -127,17 +143,13 @@ func Phases() []Phase {
 
 // MultiPhaseIteration runs one iteration of the Figure 6 experiment: create
 // instances lists, populate each to size, then run ops operations of the
-// phase's dominant type on each. Returns the elapsed time.
-func MultiPhaseIteration(newList func() collections.List[int], phase Phase, instances, size, ops int, seed int64) (time.Duration, int) {
-	r := rand.New(rand.NewSource(seed))
-	keys := r.Perm(size * 2)[:size]
-	probes := make([]int, 128)
-	for i := range probes {
-		probes[i] = r.Intn(size * 2)
-	}
+// phase's dominant type on each, calling hook as repeat describes. Returns
+// the elapsed time.
+func MultiPhaseIteration(newList func() collections.List[int], phase Phase, instances, size, ops int, seed int64, every int, hook func()) (time.Duration, int) {
+	keys, probes := draw(size, seed)
 	sink := 0
 	start := time.Now()
-	for i := 0; i < instances; i++ {
+	repeat(instances, every, hook, func() {
 		l := newList()
 		for _, k := range keys {
 			l.Add(k)
@@ -165,6 +177,6 @@ func MultiPhaseIteration(newList func() collections.List[int], phase Phase, inst
 				}
 			}
 		}
-	}
+	})
 	return time.Since(start), sink
 }
