@@ -341,6 +341,11 @@ func TestBackgroundEngineAnalyzes(t *testing.T) {
 		if ctx.CurrentVariant() == collections.HashArrayListID {
 			return
 		}
+		// A background pass that reads the weak references while a
+		// collection is marking keeps the instances alive through that
+		// cycle; the next one clears them, as a running program's ongoing
+		// collections would.
+		runtime.GC()
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("background engine never switched; variant = %s", ctx.CurrentVariant())

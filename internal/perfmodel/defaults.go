@@ -153,35 +153,67 @@ func Default() *Models {
 func DefaultDegree(degree int) *Models {
 	s := newSampler(degree)
 	entries := collections.Entries()
-	n := 0
+	// The tables are reserved before fitting: a curve has one piece, or two
+	// across an adaptive threshold, of at most degree+1 coefficients, and
+	// an energy curve has the pieces of its time curve.
+	n, pieces := 0, 0
 	for _, e := range entries {
 		if av := e.Analytic; av != nil {
 			// Time and energy per timed op; alloc and footprint per op.
-			n += 2 * (len(av.Time) + len(Ops()))
+			curves := 2 * (len(av.Time) + len(Ops()))
+			n += curves
+			if s.regimesAt(e.AdaptiveThreshold) != nil {
+				curves *= 2
+			}
+			pieces += curves
 		}
 	}
-	m := &Models{curves: make(map[key]curve, n)}
+	m := &Models{index: make(map[cell]span, n)}
+	m.reserve(pieces, pieces*(degree+1))
+	ids := make(map[string]uint32)
+	id := func(name string) uint32 {
+		num, ok := ids[name]
+		if !ok {
+			num = intern(name)
+			ids[name] = num
+		}
+		return num
+	}
 	zero := func(float64) float64 { return 0 }
 	for _, e := range entries {
 		av := e.Analytic
 		if av == nil {
 			continue
 		}
-		set := func(op Op, dim Dimension, fn collections.CostFn) {
-			m.curves[key{e.Info.ID, op, dim}] = s.curve(fn, e.AdaptiveThreshold)
+		v := id(string(e.Info.ID))
+		fit := func(fn collections.CostFn) curve { return s.curve(fn, e.AdaptiveThreshold) }
+		put := func(op Op, dim Dimension, cv curve) { m.putCell(cell{v, id(string(op)), id(string(dim))}, cv) }
+		allocs := map[Op]curve{
+			OpPopulate: fit(av.AllocPopulate),
+			OpMiddle:   fit(av.AllocMiddle),
+			OpContains: fit(zero),
+			OpIterate:  fit(zero),
 		}
-		for op, fn := range av.Time {
-			set(Op(op), DimTimeNS, fn)
+		for op, cv := range allocs {
+			put(op, DimAllocB, cv)
 		}
-		set(OpPopulate, DimAllocB, av.AllocPopulate)
-		set(OpMiddle, DimAllocB, av.AllocMiddle)
-		set(OpContains, DimAllocB, zero)
-		set(OpIterate, DimAllocB, zero)
+		// The energy curves are SynthesizeEnergy's, combined from the
+		// curves in hand rather than read back from the tables.
+		pf := PowerFactor(e.Info.ID)
+		for name, fn := range av.Time {
+			op := Op(name)
+			timeCurve := fit(fn)
+			put(op, DimTimeNS, timeCurve)
+			allocCurve, ok := allocs[op]
+			if !ok {
+				allocCurve = noAlloc
+			}
+			put(op, DimEnergy, energyCurve(pf, timeCurve, allocCurve))
+		}
 		for _, op := range Ops() {
-			set(op, DimFootprint, av.Footprint)
+			put(op, DimFootprint, fit(av.Footprint))
 		}
 	}
-	SynthesizeEnergy(m)
 	return m
 }
 

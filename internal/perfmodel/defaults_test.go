@@ -191,6 +191,15 @@ func refDefault(t *testing.T, degree int) map[key]curve {
 	return out
 }
 
+// eval is the build-form curve's cost at size s: the covering piece's
+// polynomial, 0 for an empty curve.
+func (c curve) eval(s float64) float64 {
+	if p, ok := c.pieceAt(s); ok {
+		return p.poly.Eval(s)
+	}
+	return 0
+}
+
 // curveBitsDiff describes the first difference between two curves'
 // breakpoints, coefficients or variance polynomials, compared as
 // Float64bits; "" when they are identical.
@@ -244,7 +253,7 @@ func TestDefaultModelsMatchReferenceFit(t *testing.T) {
 		pieces := 0
 		for k, w := range want {
 			pieces += len(w.pieces)
-			got, ok := m.curves[k]
+			got, ok := m.lookup(k)
 			if !ok {
 				t.Errorf("%s: no curve %s/%s/%s", c.name, k.Variant, k.Op, k.Dim)
 				continue

@@ -71,37 +71,54 @@ func PowerFactor(v collections.VariantID) float64 {
 	return defaultPowerFactor
 }
 
+// noAlloc is the allocation curve of a (variant, op) pair without one.
+var noAlloc = curve{pieces: []piece{{upTo: math.Inf(1)}}}
+
+// energyCurve combines the time and allocation curves of a variant with
+// power factor pf into its energy curve, as SynthesizeEnergy documents.
+func energyCurve(pf float64, timeCurve, allocCurve curve) curve {
+	return combine(timeCurve, allocCurve, func(pt, pa polyfit.Poly) polyfit.Poly {
+		return polyfit.Add(polyfit.Scale(pt, pf), polyfit.Scale(pa, allocEnergyPerByte))
+	})
+}
+
 // SynthesizeEnergy derives the energy curves of every (variant, op) pair
 // that has time and allocation curves:
 //
 //	energy = PowerFactor(V) · time + allocEnergyPerByte · alloc
 //
 // Piecewise curves (the adaptive variants') compose segment by segment.
-// Both the default models and the machine-built models pass through this,
-// so rules over DimEnergy (core.Renergy) work with either.
+// Machine-built models pass through this, and DefaultDegree combines the
+// default curves with the same energyCurve, so rules over DimEnergy
+// (core.Renergy) work with either.
 func SynthesizeEnergy(m *Models) {
+	timeID, ok := number(string(DimTimeNS))
+	if !ok {
+		return // no model set has a time curve
+	}
+	allocID, hasAlloc := number(string(DimAllocB))
+	energyID := intern(string(DimEnergy))
 	// Collect first: inserting while ranging over a map has unspecified
 	// iteration behavior.
 	type pending struct {
-		k key
-		c curve
+		c  cell
+		cv curve
 	}
-	adds := make([]pending, 0, len(m.curves))
-	for k, timeCurve := range m.curves {
-		if k.Dim != DimTimeNS {
+	adds := make([]pending, 0, len(m.index))
+	for c, sp := range m.index {
+		if c.dim != timeID {
 			continue
 		}
-		pf := PowerFactor(k.Variant)
-		allocCurve, okA := m.curves[key{k.Variant, k.Op, DimAllocB}]
-		if !okA {
-			allocCurve = curve{pieces: []piece{{upTo: math.Inf(1)}}}
+		allocCurve := noAlloc
+		if hasAlloc {
+			if asp, ok := m.index[cell{c.variant, c.op, allocID}]; ok {
+				allocCurve = m.view(asp)
+			}
 		}
-		energy := combine(timeCurve, allocCurve, func(pt, pa polyfit.Poly) polyfit.Poly {
-			return polyfit.Add(polyfit.Scale(pt, pf), polyfit.Scale(pa, allocEnergyPerByte))
-		})
-		adds = append(adds, pending{key{k.Variant, k.Op, DimEnergy}, energy})
+		energy := energyCurve(PowerFactor(c.key().Variant), m.view(sp), allocCurve)
+		adds = append(adds, pending{cell{c.variant, c.op, energyID}, energy})
 	}
 	for _, a := range adds {
-		m.curves[a.k] = a.c
+		m.putCell(a.c, a.cv)
 	}
 }

@@ -57,8 +57,8 @@ type jsonModels struct {
 
 // WriteJSON serializes the models.
 func (m *Models) WriteJSON(w io.Writer) error {
-	doc := jsonModels{Schema: modelsSchema, Fingerprint: m.fp, Curves: make([]jsonCurve, 0, len(m.curves))}
-	for k, cv := range m.curves {
+	doc := jsonModels{Schema: modelsSchema, Fingerprint: m.fp, Curves: make([]jsonCurve, 0, m.Len())}
+	for k, cv := range m.all() {
 		jc := jsonCurve{
 			Variant:   string(k.Variant),
 			Op:        string(k.Op),
@@ -121,7 +121,7 @@ func ReadJSON(r io.Reader) (*Models, error) {
 				vp:   polyfit.Poly{Coeffs: jp.Var},
 			})
 		}
-		m.curves[key{collections.VariantID(c.Variant), Op(c.Op), Dimension(c.Dimension)}] = cv
+		m.put(key{collections.VariantID(c.Variant), Op(c.Op), Dimension(c.Dimension)}, cv)
 	}
 	return m, nil
 }

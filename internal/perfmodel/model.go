@@ -61,7 +61,8 @@ type key struct {
 	Dim     Dimension
 }
 
-// piece is one segment of a cost curve: poly applies for sizes <= upTo.
+// piece is one segment of a cost curve in its build form: poly applies for
+// sizes <= upTo.
 // The final piece of every curve has upTo = +Inf. vp, when non-empty, is the
 // prediction-variance polynomial of the segment — StdErr(s)² as fitted by
 // polyfit (see FitResult.VarPoly) or the sampling variance of a measured
@@ -73,24 +74,19 @@ type piece struct {
 	vp   polyfit.Poly
 }
 
-// curve is a piecewise-polynomial cost function. Non-adaptive variants use
-// a single piece; adaptive variants get one polynomial per representation
-// regime with the break at their transition threshold — a single cubic
-// cannot follow the kinked cost function of an array→hash collection
-// without inventing phantom costs on one side of the threshold.
+// curve is a piecewise-polynomial cost function in the build form that
+// fits, combinations, overlays and decoding produce; a model set packs it
+// into its tables (see tables.go). Non-adaptive variants use a single
+// piece; adaptive variants get one polynomial per representation regime
+// with the break at their transition threshold — a single cubic cannot
+// follow the kinked cost function of an array→hash collection without
+// inventing phantom costs on one side of the threshold.
 type curve struct {
 	pieces []piece
 }
 
-func (c curve) eval(s float64) float64 {
-	if p, ok := c.pieceAt(s); ok {
-		return p.poly.Eval(s)
-	}
-	return 0
-}
-
 // pieceAt returns the segment covering size s (the last one for s beyond
-// every bound, matching eval), ok=false for an empty curve.
+// every bound), ok=false for an empty curve.
 func (c curve) pieceAt(s float64) (piece, bool) {
 	for _, p := range c.pieces {
 		if s <= p.upTo {
@@ -103,11 +99,16 @@ func (c curve) pieceAt(s float64) (piece, bool) {
 	return piece{}, false
 }
 
-// Models holds the fitted cost curves for a set of collection variants.
-// The zero value is empty; use Set/Cost to populate and query. Models are
-// safe for concurrent reads after construction.
+// Models holds the fitted cost curves for a set of collection variants, in
+// pointer-free tables (see tables.go). The zero value is empty; use Set/Cost
+// to populate and query. Models are safe for concurrent reads after
+// construction.
 type Models struct {
-	curves map[key]curve
+	index map[cell]span
+	tab   *tables
+	// nseg and ncoef count the written entries of tab's segments and
+	// coefficients.
+	nseg, ncoef uint32
 	// fp, when non-nil, records the machine the curves were measured on
 	// (empirically built or calibration-refined model sets; the analytic
 	// defaults are machine-independent and carry none).
@@ -128,13 +129,13 @@ func (m *Models) MeasuredOn() (Fingerprint, bool) {
 
 // Clone returns an independent copy: mutating the clone (Set, Merge,
 // OverlayMeasured) never affects the original, so a running engine's active
-// models can be refined off to the side and hot-swapped in atomically.
+// models can be refined off to the side and hot-swapped in atomically. The
+// copy holds only the curves m's index reaches, not the ones they replaced.
 func (m *Models) Clone() *Models {
-	out := NewModels()
-	for k, cv := range m.curves {
-		pieces := make([]piece, len(cv.pieces))
-		copy(pieces, cv.pieces)
-		out.curves[k] = curve{pieces: pieces}
+	out := &Models{index: make(map[cell]span, len(m.index))}
+	out.reserve(m.liveSize())
+	for c, sp := range m.index {
+		out.copyCurve(c, m, sp)
 	}
 	if m.fp != nil {
 		fp := *m.fp
@@ -145,45 +146,55 @@ func (m *Models) Clone() *Models {
 
 // NewModels returns an empty model set.
 func NewModels() *Models {
-	return &Models{curves: make(map[key]curve)}
+	return &Models{index: make(map[cell]span)}
 }
 
 // Set stores a single-polynomial cost curve for (variant, op, dim),
 // replacing any previous curve.
 func (m *Models) Set(v collections.VariantID, op Op, dim Dimension, p polyfit.Poly) {
-	m.curves[key{v, op, dim}] = curve{pieces: []piece{{upTo: math.Inf(1), poly: p}}}
+	m.put(key{v, op, dim}, curve{pieces: []piece{{upTo: math.Inf(1), poly: p}}})
 }
 
 // SetWithVar stores a single-polynomial cost curve together with its
 // prediction-variance polynomial (StdErr² as a function of size, from
 // polyfit.FitResult.VarPoly), enabling CostSE/CostCI on the curve.
 func (m *Models) SetWithVar(v collections.VariantID, op Op, dim Dimension, p, variance polyfit.Poly) {
-	m.curves[key{v, op, dim}] = curve{pieces: []piece{{upTo: math.Inf(1), poly: p, vp: variance}}}
+	m.put(key{v, op, dim}, curve{pieces: []piece{{upTo: math.Inf(1), poly: p, vp: variance}}})
 }
 
 // SetPiecewise stores a two-regime cost curve: below applies for sizes up
 // to threshold, above beyond it. Used for the adaptive variants, whose cost
 // functions kink at the representation transition.
 func (m *Models) SetPiecewise(v collections.VariantID, op Op, dim Dimension, threshold float64, below, above polyfit.Poly) {
-	m.curves[key{v, op, dim}] = curve{pieces: []piece{
+	m.put(key{v, op, dim}, curve{pieces: []piece{
 		{upTo: threshold, poly: below},
 		{upTo: math.Inf(1), poly: above},
-	}}
+	}})
 }
 
 // SetPiecewiseWithVar is SetPiecewise with a prediction-variance polynomial
 // per regime.
 func (m *Models) SetPiecewiseWithVar(v collections.VariantID, op Op, dim Dimension, threshold float64, below, belowVar, above, aboveVar polyfit.Poly) {
-	m.curves[key{v, op, dim}] = curve{pieces: []piece{
+	m.put(key{v, op, dim}, curve{pieces: []piece{
 		{upTo: threshold, poly: below, vp: belowVar},
 		{upTo: math.Inf(1), poly: above, vp: aboveVar},
-	}}
+	}})
 }
 
 // Has reports whether a curve exists for (variant, op, dim).
 func (m *Models) Has(v collections.VariantID, op Op, dim Dimension) bool {
-	_, ok := m.curves[key{v, op, dim}]
+	_, ok := m.find(key{v, op, dim})
 	return ok
+}
+
+// find returns the span of k's stored curve.
+func (m *Models) find(k key) (span, bool) {
+	c, ok := findCell(k)
+	if !ok {
+		return span{}, false
+	}
+	sp, ok := m.index[c]
+	return sp, ok
 }
 
 // Resolved is one (variant, op, dim) cell of a model set, looked up once so
@@ -193,7 +204,10 @@ func (m *Models) Has(v collections.VariantID, op Op, dim Dimension) bool {
 // here, so a resolved cell evaluates bit-identically to them. A cell the
 // model set lacks resolves too, and evaluating it panics like Cost.
 type Resolved struct {
-	curve
+	// tab holds the curve's segments at sp. The handle stays within four
+	// words, so the evaluators keep it in registers.
+	tab *tables
+	sp  span
 	// missing names the cell when the model set has no curve for it.
 	missing *key
 }
@@ -203,11 +217,26 @@ type Resolved struct {
 // later Set, Merge or OverlayMeasured on m does not reach it.
 func (m *Models) Resolve(v collections.VariantID, op Op, dim Dimension) (r Resolved, ok bool) {
 	k := key{v, op, dim}
-	cv, ok := m.curves[k]
+	sp, ok := m.find(k)
 	if !ok {
 		return Resolved{missing: &k}, false
 	}
-	return Resolved{curve: cv}, true
+	return Resolved{tab: m.tab, sp: sp}, true
+}
+
+// at returns the segment covering size s (the last one for s beyond every
+// bound), ok=false for an empty or missing curve.
+func (r Resolved) at(s float64) (segment, bool) {
+	if r.sp.n == 0 {
+		return segment{}, false
+	}
+	segs := r.tab.segments(r.sp)
+	for _, sg := range segs {
+		if s <= sg.upTo {
+			return sg, true
+		}
+	}
+	return segs[len(segs)-1], true
 }
 
 // panicMissing is kept out of line: the evaluators run in the engine's fold
@@ -232,7 +261,11 @@ func (r Resolved) Cost(size float64) float64 {
 	if r.missing != nil {
 		r.panicMissing()
 	}
-	c := r.eval(size)
+	sg, ok := r.at(size)
+	if !ok {
+		return 0
+	}
+	c := polyAt(r.tab.coef, sg.off, sg.n).Eval(size)
 	if c < 0 {
 		return 0
 	}
@@ -251,11 +284,11 @@ func (m *Models) CostSE(v collections.VariantID, op Op, dim Dimension, size floa
 // CostSE is Models.CostSE on the resolved cell.
 func (r Resolved) CostSE(size float64) (cost, se float64, ok bool) {
 	cost = r.Cost(size)
-	p, found := r.pieceAt(size)
-	if !found || len(p.vp.Coeffs) == 0 {
+	sg, found := r.at(size)
+	if !found || sg.nv == 0 {
 		return cost, 0, false
 	}
-	variance := p.vp.Eval(size)
+	variance := polyAt(r.tab.coef, sg.off+sg.n, sg.nv).Eval(size)
 	if variance < 0 || math.IsNaN(variance) {
 		variance = 0
 	}
@@ -289,18 +322,20 @@ func (r Resolved) CostCI(size, z float64) (lo, hi float64) {
 
 // Curve returns the stored polynomial for (variant, op, dim) when it is a
 // single-piece curve; piecewise curves report ok = false (use Cost or
-// CurveString for those).
+// CurveString for those). The polynomial is a view of the model set's
+// coefficients with its capacity cut to its length: appending to it copies.
 func (m *Models) Curve(v collections.VariantID, op Op, dim Dimension) (polyfit.Poly, bool) {
-	cv, ok := m.curves[key{v, op, dim}]
-	if !ok || len(cv.pieces) != 1 {
+	sp, ok := m.find(key{v, op, dim})
+	if !ok || sp.n != 1 {
 		return polyfit.Poly{}, false
 	}
-	return cv.pieces[0].poly, true
+	s := m.tab.segs[sp.first]
+	return polyAt(m.tab.coef, s.off, s.n), true
 }
 
 // CurveString renders the stored curve, piecewise or not.
 func (m *Models) CurveString(v collections.VariantID, op Op, dim Dimension) (string, bool) {
-	cv, ok := m.curves[key{v, op, dim}]
+	cv, ok := m.lookup(key{v, op, dim})
 	if !ok {
 		return "", false
 	}
@@ -321,8 +356,8 @@ func (m *Models) CurveString(v collections.VariantID, op Op, dim Dimension) (str
 // Variants returns the sorted list of variant IDs with at least one curve.
 func (m *Models) Variants() []collections.VariantID {
 	seen := make(map[collections.VariantID]bool)
-	for k := range m.curves {
-		seen[k.Variant] = true
+	for c := range m.index {
+		seen[c.key().Variant] = true
 	}
 	out := make([]collections.VariantID, 0, len(seen))
 	for v := range seen {
@@ -333,12 +368,13 @@ func (m *Models) Variants() []collections.VariantID {
 }
 
 // Len returns the number of stored curves.
-func (m *Models) Len() int { return len(m.curves) }
+func (m *Models) Len() int { return len(m.index) }
 
 // Merge copies every curve of other into m, overwriting duplicates.
 func (m *Models) Merge(other *Models) {
-	for k, p := range other.curves {
-		m.curves[k] = p
+	m.reserve(other.liveSize())
+	for c, sp := range other.index {
+		m.copyCurve(c, other, sp)
 	}
 }
 
@@ -364,14 +400,6 @@ func combine(a, b curve, f func(pa, pb polyfit.Poly) polyfit.Poly) curve {
 		cuts = append(cuts, u)
 	}
 	sort.Float64s(cuts)
-	segAt := func(c curve, x float64) polyfit.Poly {
-		for _, p := range c.pieces {
-			if x <= p.upTo {
-				return p.poly
-			}
-		}
-		return c.pieces[len(c.pieces)-1].poly
-	}
 	out := curve{pieces: make([]piece, 0, len(cuts))}
 	for _, u := range cuts {
 		// Pick a representative x inside this segment.
@@ -379,7 +407,9 @@ func combine(a, b curve, f func(pa, pb polyfit.Poly) polyfit.Poly) curve {
 		if math.IsInf(u, 1) {
 			x = math.MaxFloat64
 		}
-		out.pieces = append(out.pieces, piece{upTo: u, poly: f(segAt(a, x), segAt(b, x))})
+		pa, _ := a.pieceAt(x)
+		pb, _ := b.pieceAt(x)
+		out.pieces = append(out.pieces, piece{upTo: u, poly: f(pa.poly, pb.poly)})
 	}
 	return out
 }

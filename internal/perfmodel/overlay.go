@@ -56,7 +56,7 @@ func (m *Models) OverlayMeasured(v collections.VariantID, op Op, dim Dimension, 
 		return
 	}
 	k := key{v, op, dim}
-	prior, hasPrior := m.curves[k]
+	prior, hasPrior := m.lookup(k)
 
 	// Band boundaries around the measured sizes: outermost edges at
 	// size/band and size*band, interior cuts at geometric means.
@@ -85,7 +85,7 @@ func (m *Models) OverlayMeasured(v collections.VariantID, op Op, dim Dimension, 
 			out.pieces = append(out.pieces, bandPiece(cuts[i], pts[i]))
 		}
 		out.pieces = append(out.pieces, bandPiece(math.Inf(1), pts[len(pts)-1]))
-		m.curves[k] = out
+		m.put(k, out)
 		return
 	}
 
@@ -106,14 +106,6 @@ func (m *Models) OverlayMeasured(v collections.VariantID, op Op, dim Dimension, 
 	}
 	sort.Float64s(all)
 
-	priorAt := func(x float64) piece {
-		for _, p := range prior.pieces {
-			if x <= p.upTo {
-				return p
-			}
-		}
-		return prior.pieces[len(prior.pieces)-1]
-	}
 	out := curve{pieces: make([]piece, 0, len(all))}
 	for _, u := range all {
 		// Representative point inside the segment ending at u.
@@ -125,12 +117,12 @@ func (m *Models) OverlayMeasured(v collections.VariantID, op Op, dim Dimension, 
 		if x > low && x <= high {
 			pc = bandPiece(u, measuredAt(x))
 		} else {
-			pp := priorAt(x)
+			pp, _ := prior.pieceAt(x)
 			pc = piece{upTo: u, poly: pp.poly, vp: pp.vp}
 		}
 		out.pieces = append(out.pieces, pc)
 	}
-	m.curves[k] = out
+	m.put(k, out)
 }
 
 // normalizePoints sorts by size, drops non-positive sizes and non-finite

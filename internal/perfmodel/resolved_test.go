@@ -115,7 +115,7 @@ func TestResolvedMatchesModelLookups(t *testing.T) {
 	} {
 		rng := rand.New(rand.NewSource(14))
 		piecewise := 0
-		for k, cv := range tc.m.curves {
+		for k, cv := range tc.m.all() {
 			if len(cv.pieces) > 1 {
 				piecewise++
 			}
