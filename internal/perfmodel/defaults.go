@@ -170,50 +170,30 @@ func DefaultDegree(degree int) *Models {
 	}
 	m := &Models{index: make(map[cell]span, n)}
 	m.reserve(pieces, pieces*(degree+1))
-	ids := make(map[string]uint32)
-	id := func(name string) uint32 {
-		num, ok := ids[name]
-		if !ok {
-			num = intern(name)
-			ids[name] = num
-		}
-		return num
-	}
 	zero := func(float64) float64 { return 0 }
 	for _, e := range entries {
 		av := e.Analytic
 		if av == nil {
 			continue
 		}
-		v := id(string(e.Info.ID))
-		fit := func(fn collections.CostFn) curve { return s.curve(fn, e.AdaptiveThreshold) }
-		put := func(op Op, dim Dimension, cv curve) { m.putCell(cell{v, id(string(op)), id(string(dim))}, cv) }
-		allocs := map[Op]curve{
-			OpPopulate: fit(av.AllocPopulate),
-			OpMiddle:   fit(av.AllocMiddle),
-			OpContains: fit(zero),
-			OpIterate:  fit(zero),
-		}
-		for op, cv := range allocs {
-			put(op, DimAllocB, cv)
-		}
-		// The energy curves are SynthesizeEnergy's, combined from the
-		// curves in hand rather than read back from the tables.
-		pf := PowerFactor(e.Info.ID)
-		for name, fn := range av.Time {
-			op := Op(name)
-			timeCurve := fit(fn)
-			put(op, DimTimeNS, timeCurve)
-			allocCurve, ok := allocs[op]
-			if !ok {
-				allocCurve = noAlloc
+		// set fits fn once and stores the curve for each of ops: the zero
+		// allocation curve and the footprint curve are the same function
+		// under several ops.
+		set := func(dim Dimension, fn collections.CostFn, ops ...Op) {
+			cv := s.curve(fn, e.AdaptiveThreshold)
+			for _, op := range ops {
+				m.put(key{e.Info.ID, op, dim}, cv)
 			}
-			put(op, DimEnergy, energyCurve(pf, timeCurve, allocCurve))
 		}
-		for _, op := range Ops() {
-			put(op, DimFootprint, fit(av.Footprint))
+		for op, fn := range av.Time {
+			set(DimTimeNS, fn, Op(op))
 		}
+		set(DimAllocB, av.AllocPopulate, OpPopulate)
+		set(DimAllocB, av.AllocMiddle, OpMiddle)
+		set(DimAllocB, zero, OpContains, OpIterate)
+		set(DimFootprint, av.Footprint, Ops()...)
 	}
+	SynthesizeEnergy(m)
 	return m
 }
 

@@ -71,26 +71,14 @@ func PowerFactor(v collections.VariantID) float64 {
 	return defaultPowerFactor
 }
 
-// noAlloc is the allocation curve of a (variant, op) pair without one.
-var noAlloc = curve{pieces: []piece{{upTo: math.Inf(1)}}}
-
-// energyCurve combines the time and allocation curves of a variant with
-// power factor pf into its energy curve, as SynthesizeEnergy documents.
-func energyCurve(pf float64, timeCurve, allocCurve curve) curve {
-	return combine(timeCurve, allocCurve, func(pt, pa polyfit.Poly) polyfit.Poly {
-		return polyfit.Add(polyfit.Scale(pt, pf), polyfit.Scale(pa, allocEnergyPerByte))
-	})
-}
-
 // SynthesizeEnergy derives the energy curves of every (variant, op) pair
 // that has time and allocation curves:
 //
 //	energy = PowerFactor(V) · time + allocEnergyPerByte · alloc
 //
 // Piecewise curves (the adaptive variants') compose segment by segment.
-// Machine-built models pass through this, and DefaultDegree combines the
-// default curves with the same energyCurve, so rules over DimEnergy
-// (core.Renergy) work with either.
+// Both the default models and the machine-built models pass through this,
+// so rules over DimEnergy (core.Renergy) work with either.
 func SynthesizeEnergy(m *Models) {
 	timeID, ok := number(string(DimTimeNS))
 	if !ok {
@@ -109,13 +97,16 @@ func SynthesizeEnergy(m *Models) {
 		if c.dim != timeID {
 			continue
 		}
-		allocCurve := noAlloc
+		pf := PowerFactor(c.key().Variant)
+		allocCurve := curve{pieces: []piece{{upTo: math.Inf(1)}}}
 		if hasAlloc {
 			if asp, ok := m.index[cell{c.variant, c.op, allocID}]; ok {
 				allocCurve = m.view(asp)
 			}
 		}
-		energy := energyCurve(PowerFactor(c.key().Variant), m.view(sp), allocCurve)
+		energy := combine(m.view(sp), allocCurve, func(pt, pa polyfit.Poly) polyfit.Poly {
+			return polyfit.Add(polyfit.Scale(pt, pf), polyfit.Scale(pa, allocEnergyPerByte))
+		})
 		adds = append(adds, pending{cell{c.variant, c.op, energyID}, energy})
 	}
 	for _, a := range adds {

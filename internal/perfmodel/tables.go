@@ -27,12 +27,14 @@ import (
 // names interns the variant, op and dimension names of every model set in
 // the process, so a stored key is three numbers and no model set holds a
 // string. A name keeps its number for the life of the process; only names
-// a curve was stored under are added.
+// a curve was stored under are added. The table starts with room for the
+// builtin catalog's 37 names, so a process's first Default() interns them
+// without growing it.
 var names = struct {
 	sync.RWMutex
 	ids  map[string]uint32
 	strs []string
-}{ids: make(map[string]uint32)}
+}{ids: make(map[string]uint32, 64), strs: make([]string, 0, 64)}
 
 // cell is a curve's key with each name replaced by its interned number.
 type cell struct{ variant, op, dim uint32 }
