@@ -20,6 +20,7 @@ package apps
 import (
 	"math/rand"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/collections"
@@ -254,20 +255,19 @@ func Run(app App, mode Mode, rule core.Rule, seed int64) Result {
 }
 
 // RunObs is Run with its engine configured by o (FullAdap mode only; the
-// other modes create none). The engine's structured event stream is
-// always collected — Result.Transitions is rebuilt from the Transition
-// events rather than read out of engine internals, so everything Table 6
-// aggregates demonstrably travels on the event layer.
+// other modes create none). Result.Transitions is rebuilt from the engine's
+// Transition events rather than read out of engine internals, so everything
+// Table 6 aggregates demonstrably travels on the event layer; o.Sink still
+// receives every event.
 func RunObs(app App, mode Mode, rule core.Rule, seed int64, o Obs) Result {
 	var engine *core.Engine
-	var col *obs.Collector
+	var trs transitionSink
 	if mode == ModeFullAdap {
-		col = obs.NewCollector()
 		engine = o.NewEngine(core.Config{
 			WindowSize:    100,
 			FinishedRatio: 0.6,
 			Rule:          rule,
-			Sink:          col,
+			Sink:          &trs,
 		})
 		defer engine.Close()
 	}
@@ -279,26 +279,35 @@ func RunObs(app App, mode Mode, rule core.Rule, seed int64, o Obs) Result {
 	if engine != nil && o.Snapshots != nil {
 		o.Snapshots(engine.SiteSnapshots())
 	}
-	res := Result{
+	return Result{
 		Elapsed:       elapsed,
 		PeakHeapBytes: env.peakHeap,
 		Sink:          env.Sink,
+		Transitions:   trs.transitions(),
 	}
-	if col != nil {
-		res.Transitions = transitionsFromEvents(col.Events())
-	}
-	return res
 }
 
-// transitionsFromEvents rebuilds the core transition log from a structured
-// event stream.
-func transitionsFromEvents(events []obs.Event) []core.Transition {
+// transitionSink keeps the Transition events of one run and drops the rest.
+// Analysis workers may emit concurrently, so appends take its lock.
+type transitionSink struct {
+	mu     sync.Mutex
+	events []obs.Transition
+}
+
+func (s *transitionSink) Emit(ev obs.Event) {
+	if t, ok := ev.(obs.Transition); ok {
+		s.mu.Lock()
+		s.events = append(s.events, t)
+		s.mu.Unlock()
+	}
+}
+
+// transitions rebuilds the core transition log from the kept events.
+func (s *transitionSink) transitions() []core.Transition {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var out []core.Transition
-	for _, ev := range events {
-		t, ok := ev.(obs.Transition)
-		if !ok {
-			continue
-		}
+	for _, t := range s.events {
 		tr := core.Transition{
 			Context: t.Context,
 			From:    collections.VariantID(t.From),

@@ -49,7 +49,7 @@ func BenchmarkContextCreation(b *testing.B) {
 // BenchmarkMonitoredOps measures the per-operation monitor tax.
 func BenchmarkMonitoredOps(b *testing.B) {
 	bare := collections.NewArrayList[int]()
-	mon, _ := wrapList(collections.NewArrayList[int](), newProfile())
+	mon, _ := wrapList(collections.NewArrayList[int](), new(profile))
 	for i := 0; i < 100; i++ {
 		bare.Add(i)
 		mon.Add(i)

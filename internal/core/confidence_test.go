@@ -68,6 +68,7 @@ func runFlapping(t *testing.T, level float64) (*Engine, *obs.Collector, []Decisi
 		if rec == nil {
 			t.Fatalf("round %d: no decision record", round)
 		}
+		rec.explain(e.cfg.Rule, e.cfg.AdaptiveSizeSpread, 50) // as Explain reads it
 		recs = append(recs, *rec)
 		current = next
 	}
@@ -109,10 +110,12 @@ func TestConfidenceGateSuppressesFlapping(t *testing.T) {
 		if rec.Margin <= 0 {
 			t.Errorf("ci_overlap margin = %g, want > 0 (point estimate cleared)", rec.Margin)
 		}
+		sawSuppressed := false
 		for _, est := range rec.Candidates {
 			if est.Variant != "test/b" {
 				continue
 			}
+			sawSuppressed = true
 			if est.Eligible {
 				t.Error("suppressed candidate still marked eligible")
 			}
@@ -122,6 +125,9 @@ func TestConfidenceGateSuppressesFlapping(t *testing.T) {
 			if rhi := est.RatiosHi[perfmodel.DimTimeNS]; rhi <= 0.8 {
 				t.Errorf("suppressed candidate upper ratio %g, want > threshold 0.8", rhi)
 			}
+		}
+		if !sawSuppressed {
+			t.Error("ci_overlap record has no estimate for the suppressed candidate")
 		}
 	}
 	if int64(overlaps) != suppressed {

@@ -411,7 +411,7 @@ func TestUnknownDefaultVariantPanics(t *testing.T) {
 }
 
 func TestMonitoredWrapperCountsOps(t *testing.T) {
-	p := newProfile()
+	p := new(profile)
 	m, _ := wrapList(collections.NewArrayList[int](), p)
 	m.Add(1)
 	m.Add(2)
@@ -441,7 +441,7 @@ func TestMonitoredWrapperCountsOps(t *testing.T) {
 }
 
 func TestMonitoredSetAndMapCounts(t *testing.T) {
-	ps := newProfile()
+	ps := new(profile)
 	s, _ := wrapSet(collections.NewHashSet[int](), ps)
 	s.Add(1)
 	s.Add(1) // duplicate still counts as an add call
@@ -456,7 +456,7 @@ func TestMonitoredSetAndMapCounts(t *testing.T) {
 		t.Errorf("set MaxSize = %d, want 1", ws.MaxSize)
 	}
 
-	pm := newProfile()
+	pm := new(profile)
 	m, _ := wrapMap(collections.NewHashMap[int, int](), pm)
 	m.Put(1, 1)
 	m.Put(2, 2)
@@ -474,7 +474,7 @@ func TestMonitoredSetAndMapCounts(t *testing.T) {
 }
 
 func TestProfileObserveSizeMonotonic(t *testing.T) {
-	p := newProfile()
+	p := new(profile)
 	p.observeSize(5)
 	p.observeSize(3)
 	p.observeSize(8)
@@ -486,15 +486,15 @@ func TestProfileObserveSizeMonotonic(t *testing.T) {
 
 // TestProfileShardsSumExactly pins the profile's exact-count contract:
 // concurrent increments from many goroutines running in parallel sum to
-// exactly the number performed, interleaved observeSize calls combine into
-// exactly the global maximum, and a released profile comes back from the
-// pool zeroed. (The name dates from the former multi-stripe profile; a
-// profile is now one set of counters, and the contract is unchanged.)
+// exactly the number performed, and interleaved observeSize calls combine
+// into exactly the global maximum. (The name dates from the former
+// multi-stripe profile; a profile is now one set of counters, and the
+// contract is unchanged.)
 func TestProfileShardsSumExactly(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
-	p := newProfile()
+	p := new(profile)
 	const goroutines = 8
 	const perG = 10000
 	var wg sync.WaitGroup
@@ -517,13 +517,6 @@ func TestProfileShardsSumExactly(t *testing.T) {
 	if want := int64(goroutines*perG - 1); w.MaxSize != want {
 		t.Errorf("MaxSize = %d, want %d", w.MaxSize, want)
 	}
-	// Recycling must hand back a clean profile.
-	p.release()
-	q := newProfile()
-	defer q.release()
-	if w := q.snapshot(); w != (Workload{}) {
-		t.Errorf("pooled profile not zeroed: %+v", w)
-	}
 }
 
 // TestStripedSetCountsExactly hammers one monitored set from many goroutines
@@ -537,7 +530,7 @@ func TestStripedSetCountsExactly(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
-	p := newProfile()
+	p := new(profile)
 	_, s := wrapSet[int](collections.NewSyncSet[int](0), p)
 	const goroutines = 8
 	const perG = 5000

@@ -18,6 +18,9 @@ import (
 // face. Recording happens exclusively inside analysis passes under the
 // context mutex — the lock-free creation fast path never sees it — and
 // emits no events, so traces are byte-identical with recording on or off.
+// A record of a rule evaluation keeps the closed window's aggregate and
+// derives its per-candidate estimates only when read, so closing a window
+// costs what its decision costs.
 
 // DecisionOutcome classifies one analysis pass at one allocation context.
 type DecisionOutcome string
@@ -114,6 +117,21 @@ type DecisionRecord struct {
 	// that were folded into this record instead of flooding the ring
 	// (1 = the pass happened once).
 	Repeats int `json:"repeats"`
+
+	// agg is the closed window's aggregate of a pass that evaluated the
+	// rule; Candidates is derived from it when the record is read.
+	agg *costAgg
+}
+
+// explain fills Candidates of a record that evaluated the rule: the same
+// decideExplain the window close ran, with estimates on, over the same
+// aggregate — which nothing folds into after its window closes — so the
+// estimates are those of the decision itself. threshold is the context's
+// adaptive-variant transition threshold.
+func (rec *DecisionRecord) explain(rule Rule, adaptiveSpread float64, threshold int64) {
+	if rec.agg != nil {
+		_, rec.Candidates, _, _ = decideExplain(rec.agg, rec.Variant, rule, adaptiveSpread, threshold, true)
+	}
 }
 
 // waiting reports whether the outcome is a no-op pass eligible for
@@ -165,16 +183,28 @@ func (r *decisionRing) push(rec DecisionRecord) {
 	r.start = (r.start + 1) % len(r.buf)
 }
 
-// records returns the retained records, oldest first.
-func (r *decisionRing) records() []DecisionRecord {
+// records returns the retained records, oldest first, with the candidate
+// estimates of every rule evaluation derived (DecisionRecord.explain) under
+// the context's rule, adaptive size spread and transition threshold.
+func (r *decisionRing) records(rule Rule, adaptiveSpread float64, threshold int64) []DecisionRecord {
 	if r == nil {
 		return nil
 	}
 	out := make([]DecisionRecord, r.n)
-	for i := 0; i < r.n; i++ {
+	for i := range out {
 		out[i] = r.buf[(r.start+i)%len(r.buf)]
+		out[i].explain(rule, adaptiveSpread, threshold)
 	}
 	return out
+}
+
+// lastOutcome returns the outcome of the newest record; empty when the ring
+// is empty or recording is disabled.
+func (r *decisionRing) lastOutcome() DecisionOutcome {
+	if r == nil || r.n == 0 {
+		return ""
+	}
+	return r.buf[(r.start+r.n-1)%len(r.buf)].Outcome
 }
 
 // SiteStatus is one allocation context's live introspection view: the

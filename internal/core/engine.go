@@ -34,7 +34,9 @@ type Config struct {
 	FinishedRatio float64
 	// MonitorRate is the period of the background analysis task.
 	MonitorRate time.Duration
-	// Rule is the selection rule applied at analysis time.
+	// Rule is the selection rule applied at analysis time. A zero Rule
+	// (empty Name) uses Rtime; any other rule must pass Rule.Validate, or
+	// engine construction panics with its error.
 	Rule Rule
 	// Models are the performance models consulted for cost estimates.
 	Models *perfmodel.Models
@@ -268,6 +270,9 @@ func NewEngineManual(cfg Config) *Engine {
 
 func newEngine(cfg Config) *Engine {
 	cfg, clamps := cfg.withDefaults()
+	if err := cfg.Rule.Validate(); err != nil {
+		panic(err)
+	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
@@ -589,7 +594,7 @@ func (e *Engine) closeWindow(wc windowClose) (collections.VariantID, *DecisionRe
 		}
 	} else {
 		e.metrics.RuleEvaluations.Add(1)
-		d, ests, miss, missC1 := decideExplain(wc.agg, wc.current, e.cfg.Rule, e.cfg.AdaptiveSizeSpread, wc.threshold, wc.record)
+		d, _, miss, missC1 := decideExplain(wc.agg, wc.current, e.cfg.Rule, e.cfg.AdaptiveSizeSpread, wc.threshold, false)
 		if d.ok {
 			e.logTransition(Transition{
 				Context: wc.name, From: wc.current, To: d.switchTo,
@@ -614,11 +619,10 @@ func (e *Engine) closeWindow(wc windowClose) (collections.VariantID, *DecisionRe
 			}
 		}
 		if rec != nil {
-			rec.Candidates = ests
-			var thr1 float64
-			if len(e.cfg.Rule.Criteria) > 0 {
-				thr1 = e.cfg.Rule.Criteria[0].Threshold
-			}
+			// The record keeps the closed aggregate, which nothing folds
+			// into again, and derives its candidate estimates when read.
+			rec.agg = wc.agg
+			thr1 := e.cfg.Rule.Criteria[0].Threshold
 			switch {
 			case d.ok:
 				rec.Outcome = OutcomeSwitched
@@ -628,7 +632,7 @@ func (e *Engine) closeWindow(wc windowClose) (collections.VariantID, *DecisionRe
 				rec.Outcome = OutcomeCIOverlap
 				rec.Winner = d.suppressedTo
 				rec.Margin = thr1 - d.suppressedC1
-			case ests == nil:
+			case wc.agg.folded == 0 || wc.agg.candidateIndex(wc.current) < 0:
 				// decideExplain bailed before ranking: the aggregate has no
 				// entry for the current variant (its model curves are
 				// missing) or nothing was folded.

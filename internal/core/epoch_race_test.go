@@ -131,8 +131,9 @@ func TestEpochDrainingNoLostOps(t *testing.T) {
 
 // TestLateBounceRecyclesProfile pins the window-boundary path: a creation
 // that finds the window full after the fast-path gate said open must hand
-// out a bare (unmonitored) collection and recycle its speculative profile
-// without ever exposing it.
+// out a bare (unmonitored) collection and drop its speculative record
+// without ever exposing its profile. (The name dates from pooled profiles;
+// the dropped record is now ordinary garbage.)
 func TestLateBounceRecyclesProfile(t *testing.T) {
 	e := NewEngineManual(Config{WindowSize: 2, CooldownWindows: -1, Rule: ImpossibleRule()})
 	defer e.Close()

@@ -56,11 +56,12 @@ func zeroTotals(rows, cols int) [][]float64 {
 	return out
 }
 
-// sameBits reports the first cell where two total tables differ in any bit.
-func sameBits(got, want [][]float64) (ci, di int, ok bool) {
+// sameBits reports the first cell where an aggregate's flat totals (row
+// ci*cols+di) and a reference table differ in any bit.
+func sameBits(got []float64, want [][]float64) (ci, di int, ok bool) {
 	for ci := range want {
 		for di := range want[ci] {
-			if math.Float64bits(got[ci][di]) != math.Float64bits(want[ci][di]) {
+			if math.Float64bits(got[ci*len(want[ci])+di]) != math.Float64bits(want[ci][di]) {
 				return ci, di, false
 			}
 		}
@@ -117,7 +118,7 @@ func TestResolvedFoldMatchesModelLookups(t *testing.T) {
 				refFold(tc.models, tc.cands, tc.dims, z, w, tcRef, loRef, hiRef)
 			}
 			if ci, di, ok := sameBits(agg.tc, tcRef); !ok {
-				t.Fatalf("%s z=%g: tc[%s][%s] = %v, by-key fold %v", tc.name, z, tc.cands[ci], tc.dims[di], agg.tc[ci][di], tcRef[ci][di])
+				t.Fatalf("%s z=%g: tc[%s][%s] = %v, by-key fold %v", tc.name, z, tc.cands[ci], tc.dims[di], agg.tc[ci*cols+di], tcRef[ci][di])
 			}
 			if z == 0 {
 				if agg.lo != nil || agg.hi != nil {
@@ -126,12 +127,12 @@ func TestResolvedFoldMatchesModelLookups(t *testing.T) {
 				continue
 			}
 			if ci, di, ok := sameBits(agg.lo, loRef); !ok {
-				t.Fatalf("%s: lo[%s][%s] = %v, by-key fold %v", tc.name, tc.cands[ci], tc.dims[di], agg.lo[ci][di], loRef[ci][di])
+				t.Fatalf("%s: lo[%s][%s] = %v, by-key fold %v", tc.name, tc.cands[ci], tc.dims[di], agg.lo[ci*cols+di], loRef[ci][di])
 			}
 			if ci, di, ok := sameBits(agg.hi, hiRef); !ok {
-				t.Fatalf("%s: hi[%s][%s] = %v, by-key fold %v", tc.name, tc.cands[ci], tc.dims[di], agg.hi[ci][di], hiRef[ci][di])
+				t.Fatalf("%s: hi[%s][%s] = %v, by-key fold %v", tc.name, tc.cands[ci], tc.dims[di], agg.hi[ci*cols+di], hiRef[ci][di])
 			}
-			if tc.name == "variance/set/rtime" && agg.lo[0][0] == agg.hi[0][0] {
+			if tc.name == "variance/set/rtime" && agg.lo[0] == agg.hi[0] {
 				t.Fatalf("%s: zero-width interval, the variance overlay was not exercised", tc.name)
 			}
 		}

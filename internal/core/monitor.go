@@ -24,17 +24,17 @@ import (
 // does not beat this form in the median at GOMAXPROCS=2 (EXPERIMENTS.md,
 // "Monitoring overhead at saturation").
 //
-// Two details keep the shared profile pool safe:
+// Two details of the record path:
 //
 //   - Methods that write the profile after their last use of the monitor
 //     (the size observation after a successful insert) end with
 //     runtime.KeepAlive(m). Without it the monitor — whose collection by
 //     the GC is the instance-death signal — could be reclaimed between the
 //     inner operation and the final counter write, the analyzer could fold
-//     and release the profile, and the late write would land in a profile
-//     already recycled to another instance. Methods that merely count and
-//     then delegate need no pin: the delegation itself keeps m alive past
-//     the counter write.
+//     the instance as finished, and the late write would land after the
+//     fold read the counters: the count selection trusts would miss it.
+//     Methods that merely count and then delegate need no pin: the
+//     delegation itself keeps m alive past the counter write.
 //   - The collections.Sizer assertion is resolved once at wrap time and
 //     cached in the sizer field, instead of re-asserted on every
 //     FootprintBytes call.

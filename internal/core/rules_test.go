@@ -45,6 +45,31 @@ func TestRuleValidate(t *testing.T) {
 	}
 }
 
+// An invalid rule is rejected when the engine is built, not at its first
+// window close, where decide would index a missing criterion (and, under
+// NewEngine, panic on the background analysis goroutine).
+func TestInvalidRulePanicsAtConstruction(t *testing.T) {
+	for _, r := range []Rule{
+		{Name: "custom"},
+		{Name: "nonpos", Criteria: []Criterion{{perfmodel.DimTimeNS, 0}}},
+		{Name: "dup", Criteria: []Criterion{{perfmodel.DimTimeNS, 0.8}, {perfmodel.DimTimeNS, 1.2}}},
+	} {
+		for name, build := range map[string]func(Config) *Engine{"NewEngine": NewEngine, "NewEngineManual": NewEngineManual} {
+			func() {
+				defer func() {
+					got := recover()
+					err, ok := got.(error)
+					if !ok || err.Error() != r.Validate().Error() {
+						t.Errorf("%s(rule %q) panicked with %v, want Validate's error %q", name, r.Name, got, r.Validate())
+					}
+				}()
+				e := build(Config{Rule: r})
+				e.Close()
+			}()
+		}
+	}
+}
+
 func TestRuleString(t *testing.T) {
 	s := Ralloc().String()
 	for _, want := range []string{"Ralloc", "alloc-b<0.80", "time-ns<1.20"} {

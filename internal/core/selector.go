@@ -14,14 +14,9 @@ import (
 // sums, making its cost independent of the window size (the Figure 7
 // property).
 type costAgg struct {
-	models     *perfmodel.Models
-	candidates []collections.VariantID
-	dims       []perfmodel.Dimension
-	// curves[candidateIndex][dimIndex] holds the model cells fold
-	// evaluates, resolved once when the candidate joins the aggregate.
-	curves [][]opCurves
-	// tc[candidateIndex][dimIndex] accumulated total cost.
-	tc     [][]float64
+	*pricing
+	// tc[candidateIndex*len(dims)+dimIndex] accumulated total cost.
+	tc     []float64
 	folded int
 	// size spread of folded workloads, for adaptive gating.
 	minSize, maxSize int64
@@ -30,7 +25,30 @@ type costAgg struct {
 	// accumulated interval bounds. Both stay zero/nil — and fold performs no
 	// interval work at all — until setConfidence arms them.
 	z      float64
-	lo, hi [][]float64
+	lo, hi []float64
+}
+
+// pricing is what an aggregate reads but never writes: the candidates it
+// ranks and the dimensions it folds under one model set, each candidate's
+// resolved curves, and whether it is an adaptive variant. Windows over one
+// model set share one pricing (siteCore.resolve).
+type pricing struct {
+	models     *perfmodel.Models
+	candidates []collections.VariantID
+	dims       []perfmodel.Dimension
+	// curves[candidateIndex][dimIndex] holds the model cells fold
+	// evaluates.
+	curves [][]opCurves
+	// adaptive[candidateIndex] caches collections.IsAdaptive, so a
+	// decision makes no catalog lookups.
+	adaptive []bool
+}
+
+// add appends candidate v with the curves resolveCurves returned for it.
+func (p *pricing) add(v collections.VariantID, curves []opCurves) {
+	p.candidates = append(p.candidates, v)
+	p.curves = append(p.curves, curves)
+	p.adaptive = append(p.adaptive, collections.IsAdaptive(v))
 }
 
 // opCurves holds one candidate's resolved curves on one dimension, in
@@ -69,31 +87,25 @@ func newCostAgg(models *perfmodel.Models, candidates []collections.VariantID) *c
 // site cores pass the active rule's dimensions: accumulating dimensions the
 // rule never reads would waste fold work and would demand model curves the
 // decision cannot use. Every candidate joins, priced or not: folding one the
-// models lack a curve for panics like Models.Cost (siteCore.buildAgg drops
+// models lack a curve for panics like Models.Cost (siteCore.resolve drops
 // such candidates first).
 func newCostAggDims(models *perfmodel.Models, candidates []collections.VariantID, dims []perfmodel.Dimension) *costAgg {
-	curves := make([][]opCurves, len(candidates))
-	for i, v := range candidates {
-		curves[i], _, _, _ = resolveCurves(models, v, dims)
+	p := &pricing{models: models, dims: dims}
+	for _, v := range candidates {
+		cv, _, _, _ := resolveCurves(models, v, dims)
+		p.add(v, cv)
 	}
-	return newResolvedAgg(models, candidates, dims, curves)
+	return newWindowAgg(p)
 }
 
-// newResolvedAgg builds an aggregate whose curves[i] resolveCurves returned
-// for candidates[i] against models over dims.
-func newResolvedAgg(models *perfmodel.Models, candidates []collections.VariantID, dims []perfmodel.Dimension, curves [][]opCurves) *costAgg {
-	a := &costAgg{
-		models:     models,
-		candidates: candidates,
-		dims:       dims,
-		curves:     curves,
-		tc:         make([][]float64, len(candidates)),
-		minSize:    math.MaxInt64,
+// newWindowAgg returns an empty aggregate over p: one window's zeroed
+// totals.
+func newWindowAgg(p *pricing) *costAgg {
+	return &costAgg{
+		pricing: p,
+		tc:      make([]float64, len(p.candidates)*len(p.dims)),
+		minSize: math.MaxInt64,
 	}
-	for i := range a.tc {
-		a.tc[i] = make([]float64, len(dims))
-	}
-	return a
 }
 
 // setConfidence arms the aggregate's interval accumulation: z is the normal
@@ -105,12 +117,8 @@ func (a *costAgg) setConfidence(z float64) {
 		return
 	}
 	a.z = z
-	a.lo = make([][]float64, len(a.candidates))
-	a.hi = make([][]float64, len(a.candidates))
-	for i := range a.candidates {
-		a.lo[i] = make([]float64, len(a.dims))
-		a.hi[i] = make([]float64, len(a.dims))
-	}
+	a.lo = make([]float64, len(a.tc))
+	a.hi = make([]float64, len(a.tc))
 }
 
 // fold adds one instance workload to the running totals.
@@ -129,17 +137,19 @@ func (a *costAgg) fold(w Workload) {
 	// Populate is modeled per complete population to size s, so the raw
 	// add count converts to "number of populations".
 	popN := float64(w.Adds) / s
+	nd := len(a.dims)
 	for ci, curves := range a.curves {
 		for di, dim := range a.dims {
 			cv := &curves[di]
+			k := ci*nd + di
 			if dim == perfmodel.DimFootprint {
 				// Footprint is a retained-state dimension: charged
 				// once per instance at its maximum size.
-				a.tc[ci][di] += cv[0].Cost(s)
+				a.tc[k] += cv[0].Cost(s)
 				if a.z > 0 {
 					l, h := cv[0].CostCI(s, a.z)
-					a.lo[ci][di] += l
-					a.hi[ci][di] += h
+					a.lo[k] += l
+					a.hi[k] += h
 				}
 				continue
 			}
@@ -147,7 +157,7 @@ func (a *costAgg) fold(w Workload) {
 			c += float64(w.Contains) * cv[1].Cost(s)
 			c += float64(w.Iterates) * cv[2].Cost(s)
 			c += float64(w.Middles) * cv[3].Cost(s)
-			a.tc[ci][di] += c
+			a.tc[k] += c
 			if a.z > 0 {
 				// Interval bounds accumulate with the same multipliers as
 				// the point costs. Summing lower bounds with lower bounds
@@ -158,19 +168,38 @@ func (a *costAgg) fold(w Workload) {
 				lc, hc := cv[1].CostCI(s, a.z)
 				li, hit := cv[2].CostCI(s, a.z)
 				lm, hm := cv[3].CostCI(s, a.z)
-				a.lo[ci][di] += popN*lp + float64(w.Contains)*lc + float64(w.Iterates)*li + float64(w.Middles)*lm
-				a.hi[ci][di] += popN*hp + float64(w.Contains)*hc + float64(w.Iterates)*hit + float64(w.Middles)*hm
+				a.lo[k] += popN*lp + float64(w.Contains)*lc + float64(w.Iterates)*li + float64(w.Middles)*lm
+				a.hi[k] += popN*hp + float64(w.Contains)*hc + float64(w.Iterates)*hit + float64(w.Middles)*hm
 			}
 		}
 	}
 }
 
-// total returns TC_D(V) for candidate index ci.
-func (a *costAgg) total(ci int, dim perfmodel.Dimension) float64 {
+// dimIndex returns dim's index in a.dims, or -1 when it is not aggregated.
+func (a *costAgg) dimIndex(dim perfmodel.Dimension) int {
 	for di, d := range a.dims {
 		if d == dim {
-			return a.tc[ci][di]
+			return di
 		}
+	}
+	return -1
+}
+
+// candidateIndex returns v's index in a.candidates, or -1 when v is not
+// ranked.
+func (a *costAgg) candidateIndex(v collections.VariantID) int {
+	for i, c := range a.candidates {
+		if c == v {
+			return i
+		}
+	}
+	return -1
+}
+
+// total returns TC_D(V) for candidate index ci.
+func (a *costAgg) total(ci int, dim perfmodel.Dimension) float64 {
+	if di := a.dimIndex(dim); di >= 0 {
+		return a.tc[ci*len(a.dims)+di]
 	}
 	return 0
 }
@@ -216,26 +245,20 @@ func decide(a *costAgg, current collections.VariantID, rule Rule, adaptiveSpread
 	return d
 }
 
-// decideExplain is decide plus explainability: when explain is set it also
-// returns one CandidateEstimate per catalog candidate (costs, ratios,
-// eligibility, the first gate each ineligible candidate failed) and the
-// nearest miss — the non-gated alternative with the lowest first-criterion
-// ratio, whether or not it was eligible — for the held-decision margin. The
-// decision itself is computed identically with explain on or off; without
-// explain, only a winner allocates (its ratios).
+// decideExplain is decide plus explainability. It returns the nearest miss
+// — the non-gated alternative with the lowest first-criterion ratio,
+// whether or not it was eligible — for the held-decision margin, and when
+// explain is set also one CandidateEstimate per catalog candidate (costs,
+// ratios, eligibility, the first gate each ineligible candidate failed).
+// The decision and the nearest miss are computed identically with explain
+// on or off; without explain, only a winner allocates (its ratios).
 //
 // On a confidence-armed aggregate (setConfidence) a point-eligible candidate
 // must additionally clear every criterion with its interval upper ratio; the
 // best candidate the gate withholds is reported through the decision's
 // suppressed fields so the engine can surface it as a ci_overlap outcome.
 func decideExplain(a *costAgg, current collections.VariantID, rule Rule, adaptiveSpread float64, adaptiveThreshold int64, explain bool) (decision, []CandidateEstimate, collections.VariantID, float64) {
-	curIdx := -1
-	for i, v := range a.candidates {
-		if v == current {
-			curIdx = i
-			break
-		}
-	}
+	curIdx := a.candidateIndex(current)
 	if curIdx < 0 || a.folded == 0 {
 		return decision{}, nil, "", math.Inf(1)
 	}
@@ -262,18 +285,18 @@ func decideExplain(a *costAgg, current collections.VariantID, rule Rule, adaptiv
 	for i, v := range a.candidates {
 		if i == curIdx {
 			if explain {
-				estimates = append(estimates, a.estimate(i, curIdx, rule, false, "current", nil))
+				estimates = a.appendEstimate(estimates, i, curIdx, rule, false, "current", nil)
 			}
 			continue
 		}
-		if collections.IsAdaptive(v) {
+		if a.adaptive[i] {
 			straddles := a.minSize < adaptiveThreshold && a.maxSize > adaptiveThreshold
 			if spread < adaptiveSpread || !straddles {
 				if explain {
 					for k, crit := range rule.Criteria {
 						ratios[k] = a.ratio(i, curIdx, crit.Dimension)
 					}
-					estimates = append(estimates, a.estimate(i, curIdx, rule, false, "adaptive size gate", ratios))
+					estimates = a.appendEstimate(estimates, i, curIdx, rule, false, "adaptive size gate", ratios)
 				}
 				continue
 			}
@@ -320,11 +343,11 @@ func decideExplain(a *costAgg, current collections.VariantID, rule Rule, adaptiv
 			}
 		}
 		if explain {
-			estimates = append(estimates, a.estimate(i, curIdx, rule, eligible && !ciBlocked, failure, ratios))
-			if ratios[0] < missC1 {
-				missC1 = ratios[0]
-				miss = v
-			}
+			estimates = a.appendEstimate(estimates, i, curIdx, rule, eligible && !ciBlocked, failure, ratios)
+		}
+		if ratios[0] < missC1 {
+			missC1 = ratios[0]
+			miss = v
 		}
 		if eligible && !ciBlocked && ratios[0] < bestC1 {
 			bestC1 = ratios[0]
@@ -375,18 +398,13 @@ func (a *costAgg) ratio(ci, curIdx int, dim perfmodel.Dimension) float64 {
 // bound, with the decide conventions for zero denominators. Only meaningful
 // on armed aggregates (setConfidence).
 func (a *costAgg) ratioCI(ci, curIdx int, dim perfmodel.Dimension) float64 {
-	di := -1
-	for j, d := range a.dims {
-		if d == dim {
-			di = j
-			break
-		}
-	}
+	di := a.dimIndex(dim)
 	if di < 0 {
 		return math.Inf(1)
 	}
-	hiNew := a.hi[ci][di]
-	loCur := a.lo[curIdx][di]
+	nd := len(a.dims)
+	hiNew := a.hi[ci*nd+di]
+	loCur := a.lo[curIdx*nd+di]
 	switch {
 	case loCur > 0:
 		return hiNew / loCur
@@ -397,14 +415,18 @@ func (a *costAgg) ratioCI(ci, curIdx int, dim perfmodel.Dimension) float64 {
 	}
 }
 
-// estimate builds the explain entry for candidate ci: accumulated costs over
-// every aggregated dimension plus, for a candidate other than the current
-// one, the rule-criterion ratios against curIdx the caller computed
-// (rule.Criteria order).
-func (a *costAgg) estimate(ci, curIdx int, rule Rule, eligible bool, reason string, ratios []float64) CandidateEstimate {
+// appendEstimate appends the explain entry for candidate ci: accumulated
+// costs over every aggregated dimension plus, for a candidate other than the
+// current one, the rule-criterion ratios against curIdx the caller computed
+// (rule.Criteria order). It appends the entry itself so the entry's
+// temporaries stay out of decideExplain's frame: a window close decides
+// without explaining, right after a forced collection may have shrunk the
+// goroutine's stack, and a smaller frame is less likely to make it grow.
+func (a *costAgg) appendEstimate(dst []CandidateEstimate, ci, curIdx int, rule Rule, eligible bool, reason string, ratios []float64) []CandidateEstimate {
+	row := ci * len(a.dims)
 	costs := make(map[perfmodel.Dimension]float64, len(a.dims))
 	for di, dim := range a.dims {
-		costs[dim] = a.tc[ci][di]
+		costs[dim] = a.tc[row+di]
 	}
 	est := CandidateEstimate{
 		Variant:  a.candidates[ci],
@@ -416,8 +438,8 @@ func (a *costAgg) estimate(ci, curIdx int, rule Rule, eligible bool, reason stri
 		est.CostsLo = make(map[perfmodel.Dimension]float64, len(a.dims))
 		est.CostsHi = make(map[perfmodel.Dimension]float64, len(a.dims))
 		for di, dim := range a.dims {
-			est.CostsLo[dim] = a.lo[ci][di]
-			est.CostsHi[dim] = a.hi[ci][di]
+			est.CostsLo[dim] = a.lo[row+di]
+			est.CostsHi[dim] = a.hi[row+di]
 		}
 	}
 	if ci != curIdx {
@@ -429,5 +451,5 @@ func (a *costAgg) estimate(ci, curIdx int, rule Rule, eligible bool, reason stri
 			}
 		}
 	}
-	return est
+	return append(dst, est)
 }

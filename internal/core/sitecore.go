@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 	"weak"
 
 	"repro/internal/collections"
@@ -45,26 +46,34 @@ import (
 // decision evaluation, explain reads or snapshot captures. Closing a round
 // advances the epoch: analyze seals the old window, drains it (every record
 // folded exactly once — the aggregate equals the historical shared-counter
-// totals), recycles the profiles of finished instances, and installs a fresh
-// epoch *before* reopening the creation gate, so a creator that observes the
-// open state always observes the new epoch too. The grace the drain extends
-// to in-flight recorders is the weak reference: a profile is only recycled
-// once the GC has proven its monitor unreachable, which no live operation
-// can survive (monitor methods pin the monitor past their last profile
-// write — see monitor.go).
+// totals), and installs a fresh epoch *before* reopening the creation gate,
+// so a creator that observes the open state always observes the new epoch
+// too. The grace the drain extends to in-flight recorders is the weak
+// reference: a record is only folded as finished once the GC has proven its
+// monitor unreachable, which no live operation can survive (monitor methods
+// pin the monitor past their last profile write — see monitor.go). A
+// retired window's records are ordinary garbage; a monitor that outlives
+// its window keeps only its own record alive.
 const (
 	stateOpen       int64 = 0  // window accepting monitored instances
 	stateWindowFull int64 = -1 // window full, waiting for the finished ratio
 )
 
-// siteRecord tracks one monitored instance: a weak pointer to the monitor
-// (so the context never keeps the collection alive — the paper's
-// WeakReference technique) and a strong pointer to its profile.
+// siteRecord tracks one monitored instance: its profile, which the monitor
+// records into through &p, and a weak pointer to the monitor (so the context
+// never keeps the collection alive — the paper's WeakReference technique).
+// The profile comes first and the record is padded to 128 bytes, an
+// allocation size class whose objects start on 128-byte boundaries, so the
+// counters own one cache line and the analyzer's fields sit on the next.
 type siteRecord[M any] struct {
-	ref    weak.Pointer[M]
-	p      *profile
+	p      profile         // one cache line
+	ref    weak.Pointer[M] // one word
 	folded bool
+	_      [cacheLineBytes - 9]byte
 }
+
+// The record must stay exactly two cache lines.
+var _ [2 * cacheLineBytes]byte = [unsafe.Sizeof(siteRecord[struct{}]{})]byte{}
 
 // epochWin holds one monitoring round's records. Creators append under the
 // epoch's own mutex (held for a capacity check and a slice append — a few
@@ -132,8 +141,8 @@ type siteCore[C any, M any] struct {
 	// window close. Never accessed through c.mu.
 	win atomic.Pointer[epochWin[M]]
 
-	// mu is the analyze-side lock: it guards agg, round, missingWarned, the
-	// ring and the workload profiles, and serializes analysis with the
+	// mu is the analyze-side lock: it guards agg, round, the curve cache,
+	// the ring and the workload profiles, and serializes analysis with the
 	// snapshot/status/explain readers. The record path never takes it.
 	mu    sync.Mutex
 	agg   *costAgg
@@ -144,14 +153,13 @@ type siteCore[C any, M any] struct {
 	ring *decisionRing
 
 	// candidates is the factory-filtered candidate pool. The per-window
-	// aggregate is built from the subset the active models fully cover
-	// (see buildAgg); keeping the full list here lets a model hot-swap
+	// aggregate ranks the subset the active models fully cover (priced,
+	// see resolve); keeping the full list here lets a model hot-swap
 	// restore candidates an earlier model set was missing curves for.
 	candidates []collections.VariantID
-	// missingWarned dedupes ModelMissing warnings: one per (context,
-	// variant) per model set (warnedFor tracks which set it applies to).
-	missingWarned map[collections.VariantID]bool
-	warnedFor     *perfmodel.Models
+	// priced is that subset with its resolved curves under priced.models.
+	// Every window over that model set shares it.
+	priced *pricing
 
 	// Workload-shape accounting for warm start and calibration (guarded by
 	// mu). winProf aggregates the current window's folded workloads and is
@@ -178,7 +186,6 @@ func (c *siteCore[C, M]) init(e *Engine, o ctxOptions, abstraction string, facto
 	c.wrap = wrap
 	c.threshold = threshold
 	c.candidates = filterKnown(o.candidates, factories)
-	c.missingWarned = make(map[collections.VariantID]bool)
 	c.ring = newDecisionRing(e.cfg.DecisionRing)
 	c.agg = c.buildAgg()
 	c.win.Store(newEpochWin[M](e.cfg.WindowSize))
@@ -186,44 +193,44 @@ func (c *siteCore[C, M]) init(e *Engine, o ctxOptions, abstraction string, facto
 }
 
 // buildAgg constructs the cost aggregate for the next monitoring window
-// against the engine's active models, resolving each candidate's curves
-// once for the whole window. Candidates lacking a curve for any
-// (op × rule-dimension) cell the fold will evaluate are skipped — ranking a
-// partially modeled candidate against fully modeled ones would mis-rank it
-// (and panic in the fold) — and the first gap is reported once per
-// (context, variant) per model set through an obs.ModelMissing warning.
+// against the engine's active models. A window allocates only its zeroed
+// totals: the candidates' curves are resolved once per model set (resolve)
+// and shared by every window over it.
 func (c *siteCore[C, M]) buildAgg() *costAgg {
-	models := c.e.models.Load()
-	if models != c.warnedFor {
-		c.warnedFor = models
-		clear(c.missingWarned)
+	if models := c.e.models.Load(); c.priced == nil || c.priced.models != models {
+		c.resolve(models)
 	}
-	usable := make([]collections.VariantID, 0, len(c.candidates))
-	curves := make([][]opCurves, 0, len(c.candidates))
+	agg := newWindowAgg(c.priced)
+	agg.setConfidence(c.e.confZ)
+	return agg
+}
+
+// resolve resolves every candidate's curves under models into the cache
+// buildAgg reads. Candidates lacking a curve for any (op × rule-dimension)
+// cell the fold will evaluate are skipped — ranking a partially modeled
+// candidate against fully modeled ones would mis-rank it (and panic in the
+// fold) — and the first gap is reported through an obs.ModelMissing
+// warning. A model set is resolved once per switch to it, so the warning
+// fires once per (context, variant) per model set.
+func (c *siteCore[C, M]) resolve(models *perfmodel.Models) {
+	c.priced = &pricing{models: models, dims: c.e.ruleDims}
 	for _, v := range c.candidates {
 		cv, op, dim, ok := resolveCurves(models, v, c.e.ruleDims)
 		if ok {
-			usable = append(usable, v)
-			curves = append(curves, cv)
+			c.priced.add(v, cv)
 			continue
 		}
-		if !c.missingWarned[v] {
-			c.missingWarned[v] = true
-			c.e.metrics.ModelGaps.Add(1)
-			if c.e.sink != nil {
-				c.e.sink.Emit(obs.ModelMissing{
-					Engine:    c.e.cfg.Name,
-					Context:   c.name,
-					Variant:   string(v),
-					Op:        string(op),
-					Dimension: string(dim),
-				})
-			}
+		c.e.metrics.ModelGaps.Add(1)
+		if c.e.sink != nil {
+			c.e.sink.Emit(obs.ModelMissing{
+				Engine:    c.e.cfg.Name,
+				Context:   c.name,
+				Variant:   string(v),
+				Op:        string(op),
+				Dimension: string(dim),
+			})
 		}
 	}
-	agg := newResolvedAgg(models, usable, c.e.ruleDims, curves)
-	agg.setConfidence(c.e.confZ)
-	return agg
 }
 
 // newCollection returns a collection of the context's current variant. The
@@ -260,16 +267,15 @@ func (c *siteCore[C, M]) newCollection() C {
 // the Table 6 trace byte-identical.
 func (c *siteCore[C, M]) newMonitored() C {
 	inner := c.cur.Load().factory(0)
-	p := newProfile()
-	m, view := c.wrap(inner, p)
-	rec := &siteRecord[M]{ref: weak.Make(m), p: p}
+	rec := new(siteRecord[M])
+	m, view := c.wrap(inner, &rec.p)
+	rec.ref = weak.Make(m)
 	w := c.win.Load()
 	w.mu.Lock()
 	if w.sealed || len(w.records) >= c.e.cfg.WindowSize {
 		w.mu.Unlock()
 		c.state.CompareAndSwap(stateOpen, stateWindowFull)
-		// The monitor never escapes, so no operation can ever reach p.
-		p.release()
+		// The monitor never escapes: it and its record are garbage.
 		return inner
 	}
 	w.records = append(w.records, rec)
@@ -442,19 +448,12 @@ func (c *siteCore[C, M]) analyze() {
 		c.cur.Store(&curVariant[C]{id: next, factory: c.factories[next]})
 	}
 	// Advance the epoch: seal the retired window (a creator that raced the
-	// close bounces instead of joining a window nobody will drain), recycle
-	// the profiles whose monitors the GC already proved unreachable, and
+	// close bounces instead of joining a window nobody will drain) and
 	// install the next epoch *before* reopening the gate — a creator that
 	// observes the reopened state therefore always observes the new epoch.
 	win.mu.Lock()
 	win.sealed = true
 	win.mu.Unlock()
-	for _, r := range recs {
-		if r.ref.Value() == nil {
-			r.p.release()
-			r.p = nil
-		}
-	}
 	c.win.Store(newEpochWin[M](c.e.cfg.WindowSize))
 	c.agg = c.buildAgg()
 	c.winProf = WorkloadProfile{}
@@ -513,7 +512,7 @@ func (c *siteCore[C, M]) modelGaps() []collections.VariantID {
 func (c *siteCore[C, M]) decisionRecords() []DecisionRecord {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ring.records()
+	return c.ring.records(c.e.cfg.Rule, c.e.cfg.AdaptiveSizeSpread, c.threshold)
 }
 
 // siteStatus extends siteSnapshot with the live window/cooldown counters and
@@ -522,16 +521,13 @@ func (c *siteCore[C, M]) decisionRecords() []DecisionRecord {
 func (c *siteCore[C, M]) siteStatus() SiteStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := SiteStatus{
+	return SiteStatus{
 		SiteSnapshot: c.snapshotLocked(),
 		WindowFill:   int(c.win.Load().fill.Load()),
 		Folded:       c.agg.folded,
 		Cooldown:     c.cooldownRemaining(),
+		LastOutcome:  c.ring.lastOutcome(),
 	}
-	if recs := c.ring.records(); len(recs) > 0 {
-		st.LastOutcome = recs[len(recs)-1].Outcome
-	}
-	return st
 }
 
 // siteSnapshot captures the context's externally visible state for the
