@@ -59,6 +59,15 @@ const (
 	stateWindowFull int64 = -1 // window full, waiting for the finished ratio
 )
 
+// reopenGate stores the next round's gate value: its cooldown, or stateOpen
+// when that is 0. It is not generic on purpose. With this toolchain, the
+// site cores' generic instantiations inline atomic.Int64.Store only when
+// non-generic code in this package inlines it too; otherwise the binary
+// links an out-of-line Store, every later function moves by 32 bytes, and
+// the apps benchmark's hottest loop (ArrayList.IndexOf) ran 16% slower in
+// its new position (EXPERIMENTS.md, "What closing a window costs").
+func reopenGate(state *atomic.Int64, cooldown int) { state.Store(int64(cooldown)) }
+
 // siteRecord tracks one monitored instance: its profile, which the monitor
 // records into through &p, and a weak pointer to the monitor (so the context
 // never keeps the collection alive — the paper's WeakReference technique).
@@ -458,7 +467,7 @@ func (c *siteCore[C, M]) analyze() {
 	c.agg = c.buildAgg()
 	c.winProf = WorkloadProfile{}
 	c.round++
-	c.state.Store(int64(cooldown)) // 0 reopens the window immediately
+	reopenGate(&c.state, cooldown) // 0 reopens the window immediately
 }
 
 // warmStart restores a persisted site decision before the context joins the
