@@ -11,8 +11,7 @@ import (
 // TestEpochDrainingNoLostOps hammers one site from concurrent recorders
 // while AnalyzeNow closes windows concurrently, then asserts the framework's
 // aggregated totals equal a reference count the test kept in a plain atomic:
-// epoch advancing and profile recycling must neither lose nor double-count
-// a single operation.
+// epoch advancing must neither lose nor double-count a single operation.
 //
 // FinishedRatio 1 makes the assertion exact: a window only closes once every
 // monitored instance in it is dead, so each profile is folded exactly once,

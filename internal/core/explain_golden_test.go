@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,8 +13,6 @@ import (
 	"repro/internal/collections"
 	"repro/internal/perfmodel"
 )
-
-var updateExplainGolden = flag.Bool("update-explain-golden", false, "rewrite testdata/explain_golden.json from this tree")
 
 // goldenChurn creates n collections through newC, applies one seeded
 // workload to each and drops them all, then forces a collection so their
@@ -131,10 +128,10 @@ func explainGoldenModels() *perfmodel.Models {
 // record, candidate estimate, ratio, reason and margin — of three seeded
 // manual engines at analysis parallelism 1 to a golden file: Rtime and
 // Ralloc on point estimates, and Rtime confidence-armed at 0.95. Any change
-// to how or when explanations are built must leave these bytes alone.
-// Regenerate only for an intended change to explain output:
-//
-//	go test ./internal/core/ -run TestExplainMatchesParentGolden -update-explain-golden
+// to how or when explanations are built must leave these bytes alone. On a
+// mismatch the test writes this tree's output to a temporary file and names
+// it; copy that over the golden only for an intended change to explain
+// output.
 func TestExplainMatchesParentGolden(t *testing.T) {
 	got, err := json.MarshalIndent(map[string]map[string][]DecisionRecord{
 		"point": explainGoldenRun(t, Config{Rule: Rtime(), Name: "golden/point"}, 11),
@@ -145,22 +142,21 @@ func TestExplainMatchesParentGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = append(got, '\n')
-	path := filepath.Join("testdata", "explain_golden.json")
-	if *updateExplainGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
+	want, err := os.ReadFile(filepath.Join("testdata", "explain_golden.json"))
 	if err != nil {
 		t.Fatalf("reading golden: %v", err)
 	}
 	if bytes.Equal(got, want) {
 		return
+	}
+	if f, err := os.CreateTemp("", "explain_golden-*.json"); err == nil {
+		_, err = f.Write(got)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			t.Errorf("this tree's Explain output is in %s", f.Name())
+		}
 	}
 	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 	for i := 0; i < len(gl) && i < len(wl); i++ {

@@ -7,13 +7,13 @@ import (
 )
 
 // closeSite is a set context over the whole set catalog (at least eight
-// candidates) on a manual engine with decision recording on, no sink and no
-// cooldown, so every full window of finished instances closes at the next
-// pass.
-func closeSite(tb testing.TB, rule Rule) (*Engine, *SetContext[int]) {
+// candidates) on a manual Rtime engine with decision recording on, no sink
+// and no cooldown, so every full window of finished instances closes at the
+// next pass.
+func closeSite(tb testing.TB) (*Engine, *SetContext[int]) {
 	tb.Helper()
 	e := NewEngineManual(Config{
-		WindowSize: 10, FinishedRatio: 0.6, Rule: rule,
+		WindowSize: 10, FinishedRatio: 0.6, Rule: Rtime(),
 		CooldownWindows: -1, AnalysisParallelism: 1,
 	})
 	ctx := NewSetContext[int](e, WithName("close:set"))
@@ -47,7 +47,7 @@ func churnSets(ctx *SetContext[int], rng *rand.Rand, n int) {
 // zeroed totals and the engine's per-pass bookkeeping, whatever the
 // candidate count.
 func TestWindowCloseAllocs(t *testing.T) {
-	e, ctx := closeSite(t, Rtime())
+	e, ctx := closeSite(t)
 	defer e.Close()
 	rng := rand.New(rand.NewSource(3))
 	const passes = 8
@@ -74,7 +74,7 @@ func TestWindowCloseAllocs(t *testing.T) {
 // re-resolves against the new set — the window it re-folds and the ones
 // after it rank under the new models.
 func TestCurvesResolvedOncePerModelSet(t *testing.T) {
-	e, ctx := closeSite(t, Rtime())
+	e, ctx := closeSite(t)
 	defer e.Close()
 	rng := rand.New(rand.NewSource(9))
 	first := ctx.core.agg.pricing
@@ -112,7 +112,7 @@ func TestCurvesResolvedOncePerModelSet(t *testing.T) {
 // instances are folded before the timer starts; the timed pass folds the
 // tenth, still alive, at decision time and closes the window.
 func BenchmarkWindowClose(b *testing.B) {
-	e, ctx := closeSite(b, Rtime())
+	e, ctx := closeSite(b)
 	defer e.Close()
 	rng := rand.New(rand.NewSource(5))
 	b.ReportAllocs()
