@@ -22,10 +22,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -365,9 +368,32 @@ func (s *Service) Shutdown(ctx context.Context) error {
 
 // --- request handlers -------------------------------------------------------
 
+// queryGet returns url.ParseQuery(raw).Get(name) without building the
+// url.Values: the value of the first pair whose key unescapes to name. Like
+// ParseQuery it skips empty pairs, pairs holding ';' and pairs whose key or
+// value does not unescape. url.QueryUnescape returns a string without '%'
+// or '+' as it is, so a plain query allocates nothing.
+func queryGet(raw, name string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != name {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
 // qInt64 parses a required int64 query parameter.
 func qInt64(r *http.Request, name string) (int64, error) {
-	v := r.URL.Query().Get(name)
+	v := queryGet(r.URL.RawQuery, name)
 	if v == "" {
 		return 0, fmt.Errorf("missing %q", name)
 	}
@@ -385,7 +411,7 @@ func qInt64(r *http.Request, name string) (int64, error) {
 const maxBatch = 64
 
 func qCount(r *http.Request) int {
-	v := r.URL.Query().Get("cnt")
+	v := queryGet(r.URL.RawQuery, "cnt")
 	if v == "" {
 		return 1
 	}
@@ -409,23 +435,27 @@ func (s *Service) badRequest(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), http.StatusBadRequest)
 }
 
-func reply(w http.ResponseWriter, body string) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, body)
-}
+// Replies write the whole body, newline included, in one call and never
+// touch w.Header(): net/http sniffs the same "text/plain; charset=utf-8"
+// that the handlers used to set, and has no header map to clone.
 
 func replyBool(w http.ResponseWriter, b bool) {
 	if b {
-		reply(w, "1")
+		io.WriteString(w, "1\n")
 	} else {
-		reply(w, "0")
+		io.WriteString(w, "0\n")
 	}
+}
+
+func replyInt(w http.ResponseWriter, v int64) {
+	var buf [24]byte
+	w.Write(append(strconv.AppendInt(buf[:0], v, 10), '\n'))
 }
 
 // handleSet serves /set/add and /set/has over the keyed membership sets.
 func (s *Service) handleSet(op workload.ServiceOp) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		key := r.URL.Query().Get("key")
+		key := queryGet(r.URL.RawQuery, "key")
 		if key == "" {
 			s.badRequest(w, fmt.Errorf("missing %q", "key"))
 			return
@@ -453,7 +483,7 @@ func (s *Service) handleSet(op workload.ServiceOp) http.HandlerFunc {
 }
 
 func (s *Service) handleSetRem(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("key")
+	key := queryGet(r.URL.RawQuery, "key")
 	m, err := qInt64(r, "m")
 	if key == "" || err != nil {
 		s.badRequest(w, fmt.Errorf("need key and m"))
@@ -467,7 +497,7 @@ func (s *Service) handleSetRem(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleSetDrop(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("key")
+	key := queryGet(r.URL.RawQuery, "key")
 	if key == "" {
 		s.badRequest(w, fmt.Errorf("missing %q", "key"))
 		return
@@ -507,15 +537,15 @@ func (s *Service) handleKV(op workload.ServiceOp) http.HandlerFunc {
 		var ok bool
 		s.kv.read(bucket, func(m collections.Map[int64, int64]) { v, ok = m.Get(k) })
 		if !ok {
-			reply(w, "miss")
+			io.WriteString(w, "miss\n")
 			return
 		}
-		reply(w, strconv.FormatInt(v, 10))
+		replyInt(w, v)
 	}
 }
 
 func (s *Service) handleRangeAdd(w http.ResponseWriter, r *http.Request) {
-	series := r.URL.Query().Get("series")
+	series := queryGet(r.URL.RawQuery, "series")
 	t, err := qInt64(r, "t")
 	if series == "" || err != nil {
 		s.badRequest(w, fmt.Errorf("need series and t"))
@@ -538,7 +568,7 @@ func (s *Service) handleRangeAdd(w http.ResponseWriter, r *http.Request) {
 // answers via Range in O(log n + k); otherwise it falls back to a full
 // filtered iteration — the asymmetry the engine's scan-phase switches buy.
 func (s *Service) handleRangeScan(w http.ResponseWriter, r *http.Request) {
-	series := r.URL.Query().Get("series")
+	series := queryGet(r.URL.RawQuery, "series")
 	from, err1 := qInt64(r, "from")
 	to, err2 := qInt64(r, "to")
 	if series == "" || err1 != nil || err2 != nil {
@@ -548,38 +578,39 @@ func (s *Service) handleRangeScan(w http.ResponseWriter, r *http.Request) {
 	s.ops[workload.OpRangeScan].Add(1)
 	cnt := qCount(r)
 	width := to - from
-	var count int64
-	var sum int64
+	// cnt stepped windows [from+i*width, to+i*width] — one dashboard query
+	// over many adjacent buckets — share one visitor. Range only yields the
+	// window, so the bounds check filters the ForEach fallback alone.
+	var win struct{ lo, hi, count, sum int64 }
+	visit := func(v int64) bool {
+		if v >= win.lo && v <= win.hi {
+			win.count++
+			win.sum += v
+		}
+		return true
+	}
 	sorted := false
 	s.ranges.read(series, func(set collections.Set[int64]) {
 		ss, isSorted := set.(collections.SortedSet[int64])
 		sorted = isSorted
-		// cnt stepped windows [from+i*width, to+i*width] — one dashboard
-		// query over many adjacent buckets.
 		for i := 0; i < cnt; i++ {
-			lo, hi := from+int64(i)*width, to+int64(i)*width
+			win.lo, win.hi = from+int64(i)*width, to+int64(i)*width
 			if isSorted {
-				ss.Range(lo, hi, func(v int64) bool {
-					count++
-					sum += v
-					return true
-				})
-				continue
+				ss.Range(win.lo, win.hi, visit)
+			} else {
+				set.ForEach(visit)
 			}
-			set.ForEach(func(v int64) bool {
-				if v >= lo && v <= hi {
-					count++
-					sum += v
-				}
-				return true
-			})
 		}
 	})
-	reply(w, fmt.Sprintf("%d %d sorted=%v", count, sum, sorted))
+	var buf [64]byte
+	b := strconv.AppendInt(buf[:0], win.count, 10)
+	b = strconv.AppendInt(append(b, ' '), win.sum, 10)
+	b = strconv.AppendBool(append(b, " sorted="...), sorted)
+	w.Write(append(b, '\n'))
 }
 
 func (s *Service) handleRangeDrop(w http.ResponseWriter, r *http.Request) {
-	series := r.URL.Query().Get("series")
+	series := queryGet(r.URL.RawQuery, "series")
 	if series == "" {
 		s.badRequest(w, fmt.Errorf("missing %q", "series"))
 		return
@@ -593,7 +624,7 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
-	reply(w, "ok")
+	io.WriteString(w, "ok\n")
 }
 
 // statsSnapshot is the /stats payload: the service-side view a load harness
