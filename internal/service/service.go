@@ -111,6 +111,7 @@ type Service struct {
 	httpSrv  *http.Server
 	serveErr <-chan error
 	addr     string
+	started  time.Time // /stats uptime counts from here
 }
 
 // New wires a Service: engine, allocation contexts, stores, diag surface and
@@ -134,7 +135,7 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 
-	s := &Service{cfg: cfg}
+	s := &Service{cfg: cfg, started: time.Now()}
 	s.reg = cfg.Engine.Metrics
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()
@@ -306,13 +307,15 @@ func (s *Service) Handler() http.Handler {
 
 // Start binds addr (":0" picks a free port) and serves the handler on a
 // background goroutine with the configured timeouts. Bind errors return
-// immediately; accept-loop failures surface on Err.
+// immediately; accept-loop failures surface on Err. The /stats uptime counts
+// from here; a handler served without Start counts from New.
 func (s *Service) Start(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
 	s.addr = ln.Addr().String()
+	s.started = time.Now()
 	t := s.cfg.Timeouts
 	s.httpSrv = &http.Server{
 		Handler:           s.Handler(),
@@ -640,10 +643,8 @@ type statsSnapshot struct {
 	Transitions  int64             `json:"transitions"`
 	Fixed        string            `json:"fixed,omitempty"`
 	EngineClosed bool              `json:"engine_closed,omitempty"`
-	Uptime       string            `json:"uptime"`
+	Uptime       string            `json:"uptime"` // since Start, or New without it
 }
-
-var serviceStart = time.Now()
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	snap := statsSnapshot{
@@ -667,7 +668,7 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		Transitions:  s.reg.TransitionsTotal(),
 		Fixed:        s.cfg.Fixed,
 		EngineClosed: s.engine.Closed(),
-		Uptime:       time.Since(serviceStart).Round(time.Millisecond).String(),
+		Uptime:       time.Since(s.started).Round(time.Millisecond).String(),
 	}
 	for op := workload.ServiceOp(0); op < workload.NumServiceOps; op++ {
 		snap.Ops[op.String()] = s.ops[op].Load()

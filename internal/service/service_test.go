@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -325,6 +326,40 @@ func TestFixedModePinsVariantAndNeverSwitches(t *testing.T) {
 	get200(t, base+"/range/add?series=fx&t=0&cnt=3")
 	if body := get200(t, base+"/range/scan?series=fx&from=0&to=3000"); !strings.HasPrefix(body, "3 2991 ") {
 		t.Errorf("fixed scan = %q", body)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// TestStatsUptimeCountsFromStart: /stats reports how long this service has
+// been serving, not how long the process has run.
+func TestStatsUptimeCountsFromStart(t *testing.T) {
+	svc, err := New(testConfig(t))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	// Time that passes before Start is not uptime.
+	time.Sleep(100 * time.Millisecond)
+	before := time.Now()
+	if err := svc.Start("127.0.0.1:0"); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	body := get200(t, "http://"+svc.Addr()+"/stats")
+	serving := time.Since(before)
+	var snap statsSnapshot
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
+		t.Fatalf("/stats: %v\n%s", err, body)
+	}
+	up, err := time.ParseDuration(snap.Uptime)
+	if err != nil {
+		t.Fatalf("uptime %q: %v", snap.Uptime, err)
+	}
+	// Uptime is rounded to the millisecond.
+	if up > serving+time.Millisecond {
+		t.Errorf("uptime %v, but the service has served for %v", up, serving)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
