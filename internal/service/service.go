@@ -340,7 +340,9 @@ func (s *Service) Start(addr string) error {
 // requests (bounded by ctx), fold the last monitored instances with a final
 // analysis pass, persist site snapshots to the warm-start store (if one is
 // attached), then close the engine. It returns the first error encountered
-// while still performing the remaining steps.
+// while still performing the remaining steps. The drain can wait up to 5 s
+// for a connection that was dialed but never sent a request: net/http counts
+// such a connection as busy until it is 5 s old.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	var first error

@@ -284,6 +284,9 @@ func TestServiceConcurrentMixedOps(t *testing.T) {
 	if got := svc.RequestsTotal(); got != workers*opsEach {
 		t.Errorf("RequestsTotal = %d, want %d", got, workers*opsEach)
 	}
+	// The workers' dial race can leave a connection that never sent a
+	// request; Shutdown would wait until it is 5 s old. Close it first.
+	http.DefaultClient.CloseIdleConnections()
 	// Shutdown consumes the serve-error channel itself; a clean stop means
 	// a nil return here.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
