@@ -440,21 +440,16 @@ func (s *Service) badRequest(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), http.StatusBadRequest)
 }
 
-// Replies write the whole body, newline included, in one call and never
-// touch w.Header(): net/http sniffs the same "text/plain; charset=utf-8"
-// that the handlers used to set, and has no header map to clone.
-
+// replyBool answers "1" or "0". Every reply writes its whole body, newline
+// included, in one call and never touches w.Header(): net/http then sniffs
+// the same "text/plain; charset=utf-8" the handlers used to set and has no
+// header map to clone.
 func replyBool(w http.ResponseWriter, b bool) {
 	if b {
 		io.WriteString(w, "1\n")
 	} else {
 		io.WriteString(w, "0\n")
 	}
-}
-
-func replyInt(w http.ResponseWriter, v int64) {
-	var buf [24]byte
-	w.Write(append(strconv.AppendInt(buf[:0], v, 10), '\n'))
 }
 
 // handleSet serves /set/add and /set/has over the keyed membership sets.
@@ -545,7 +540,8 @@ func (s *Service) handleKV(op workload.ServiceOp) http.HandlerFunc {
 			io.WriteString(w, "miss\n")
 			return
 		}
-		replyInt(w, v)
+		var buf [24]byte
+		w.Write(append(strconv.AppendInt(buf[:0], v, 10), '\n'))
 	}
 }
 
