@@ -1,11 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"regexp"
 	"testing"
+
+	"repro/internal/obs/promtext"
+	"repro/internal/workload"
 )
 
 // discardWriter is a ResponseWriter that keeps nothing, so AllocsPerRun
@@ -114,6 +118,68 @@ func FuzzQueryGet(f *testing.F) {
 			t.Fatalf("queryGet(%q, %q) = %q, url.ParseQuery gives %q", raw, name, got, want.Get(name))
 		}
 	})
+}
+
+// TestMalformedRequestsCountOnlyAsBad sends one malformed request to every
+// store route. Each must answer 400 and count only as a bad request: a
+// handler validates all its parameters before it counts the operation.
+func TestMalformedRequestsCountOnlyAsBad(t *testing.T) {
+	malformed := map[string]string{
+		"/set/add":    "key=k",
+		"/set/has":    "m=1",
+		"/set/rem":    "key=k",
+		"/set/drop":   "",
+		"/kv/put":     "k=1",
+		"/kv/get":     "k=x",
+		"/range/add":  "series=s",
+		"/range/scan": "series=s&from=0",
+		"/range/drop": "",
+	}
+	svc, err := New(testConfig(t))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer svc.Engine().Close()
+	h := svc.Handler()
+	for _, rt := range storeRoutes {
+		raw, ok := malformed[rt.path]
+		if !ok {
+			t.Fatalf("no malformed request for %s", rt.path)
+		}
+		req := httptest.NewRequest(http.MethodGet, rt.path, nil)
+		req.URL.RawQuery = raw
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s?%s answered %d, want 400", rt.path, raw, rec.Code)
+		}
+	}
+	if n := svc.RequestsTotal(); n != 0 {
+		t.Errorf("RequestsTotal = %d after only malformed requests, want 0", n)
+	}
+	var buf bytes.Buffer
+	if _, err := svc.Registry().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := promtext.Parse(&buf)
+	if err != nil {
+		t.Fatalf("/metrics does not parse: %v", err)
+	}
+	value := map[string]float64{}
+	for _, f := range fams {
+		if len(f.Samples) == 1 {
+			value[f.Name] = f.Samples[0].Value
+		}
+	}
+	for op := workload.ServiceOp(0); op < workload.NumServiceOps; op++ {
+		name := "collserve_" + op.String() + "_total"
+		if v, ok := value[name]; !ok || v != 0 {
+			t.Errorf("%s = %v (present %v), want 0", name, v, ok)
+		}
+	}
+	if v := value["collserve_bad_requests_total"]; v != float64(len(malformed)) {
+		t.Errorf("collserve_bad_requests_total = %v, want %d", v, len(malformed))
+	}
 }
 
 // storeRoutes lists the store endpoints with the grammar of their 200

@@ -519,21 +519,22 @@ func (s *Service) handleKV(op workload.ServiceOp) http.HandlerFunc {
 			s.badRequest(w, err)
 			return
 		}
-		s.ops[op].Add(1)
-		bucket := s.kvBucket(k)
+		var v int64
 		if op == workload.OpKVPut {
-			v, err := qInt64(r, "v")
-			if err != nil {
+			if v, err = qInt64(r, "v"); err != nil {
 				s.badRequest(w, err)
 				return
 			}
+		}
+		s.ops[op].Add(1)
+		bucket := s.kvBucket(k)
+		if op == workload.OpKVPut {
 			var had bool
 			s.kv.write(bucket, func() collections.Map[int64, int64] { return s.kvCtx.NewMap() },
 				func(m collections.Map[int64, int64]) { _, had = m.Put(k, v) })
 			replyBool(w, had)
 			return
 		}
-		var v int64
 		var ok bool
 		s.kv.read(bucket, func(m collections.Map[int64, int64]) { v, ok = m.Get(k) })
 		if !ok {
