@@ -117,6 +117,3 @@ func FormatDelta(d Delta) string {
 	}
 	return fmt.Sprintf("%+.0f%%", d.ImprovementPct)
 }
-
-// MeanOf is a reporting convenience: mean of a measurement series.
-func MeanOf(xs []float64) float64 { return stats.Mean(xs) }

@@ -82,7 +82,7 @@ func (b *Builder) bench(warm func(), fn func(bi *testing.B)) (ns, alloc float64)
 }
 
 // Build measures the given benchmark targets and returns their models
-// (without the synthesized energy dimension; see BuildAll).
+// (without the synthesized energy dimension; see SynthesizeEnergy).
 func (b *Builder) Build(targets []collections.BenchTarget) (*Models, error) {
 	b.done, b.total = 0, len(targets)*len(Ops())
 	m := NewModels()
@@ -231,18 +231,4 @@ func (b *Builder) store(m *Models, id collections.VariantID, all map[Op][]sample
 		}
 	}
 	return nil
-}
-
-// BuildAll measures every default candidate of every abstraction and returns
-// the merged models with the synthesized energy dimension.
-func (b *Builder) BuildAll() (*Models, error) {
-	targets := collections.BenchTargets(collections.ListAbstraction)
-	targets = append(targets, collections.BenchTargets(collections.SetAbstraction)...)
-	targets = append(targets, collections.BenchTargets(collections.MapAbstraction)...)
-	m, err := b.Build(targets)
-	if err != nil {
-		return nil, err
-	}
-	SynthesizeEnergy(m)
-	return m, nil
 }
