@@ -1,29 +1,41 @@
-// Command collopt is the offline profile-guided optimizer (the ROADMAP's
-// collectionswitch-opt): it combines a tuner calibration store's workload
-// profiles with the cost-model curves, searches the space of per-site
-// variant assignments for the Pareto front over the requested objectives
-// (internal/search, NSGA-II-lite), and emits reviewable Go patches pinning
-// each allocation site to its chosen static variant (internal/rewrite,
-// pinned mode).
+// Command collopt rewrites collection allocation sites through
+// internal/rewrite, in one of two modes.
+//
+// Without -store it is the paper's automated parser (Section 4.3, Figure 4):
+// sites built by the default constructors (collections.NewArrayList /
+// NewHashSet / NewHashMap) become static adaptive allocation contexts. -all
+// extends this to every zero-argument catalog constructor, keeping each
+// site's variant as the context default.
+//
+// With -store it is the offline profile-guided optimizer: it searches the
+// per-site variant assignments for the Pareto front over the store's
+// workload profiles and the cost models (internal/search), prints the front
+// (table + JSON), and pins each site to its variant in the knee-point
+// member, or in member -pick N.
 //
 // Usage:
 //
-//	collopt -store DIR -src ./... -objective time,mem
+//	collopt -list ./myapp/...                          # list the rewritable sites
+//	collopt -w ./myapp/...                             # adaptive rewrite in place
+//	collopt -store DIR -src ./... -objective time,mem  # search, then pin
 //
-// By default the tool prints the Pareto front (table + JSON) and the chosen
-// assignment's patches as unified diffs. -w applies the patches in place;
-// -o DIR writes the rewritten files into a mirror tree instead. -pick N
-// overrides the automatic knee-point choice with front member N.
+// Every file is rewritten in memory before any is delivered: as unified
+// diffs on stdout, into a mirror tree with -o DIR, or in place with -w. If a
+// file fails to read, parse or rewrite, the run fails listing every failure
+// and writes nothing.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,7 +50,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "collopt:", err)
 		os.Exit(1)
 	}
@@ -49,50 +61,45 @@ type srcList []string
 func (s *srcList) String() string     { return strings.Join(*s, ",") }
 func (s *srcList) Set(v string) error { *s = append(*s, v); return nil }
 
-func run() error {
+func run(args []string, stdout, stderr io.Writer) error {
+	flags := flag.NewFlagSet("collopt", flag.ExitOnError)
+	flags.SetOutput(stderr)
 	var srcs srcList
-	storeDir := flag.String("store", "", "tuner store directory (or store file) supplying workload profiles")
-	flag.Var(&srcs, "src", "source file, directory, or dir/... to scan for allocation sites (repeatable)")
-	objective := flag.String("objective", "time,mem", "comma-separated search objectives: time, mem, alloc, energy")
-	seed := flag.Int64("seed", 1, "search random seed")
-	pop := flag.Int("pop", 64, "search population size")
-	gens := flag.Int("gens", 120, "search generations")
-	pick := flag.Int("pick", -1, "front member to emit patches for (-1 = automatic knee point)")
-	top := flag.Int("top", 0, "limit the printed front table to the first N rows (0 = all)")
-	write := flag.Bool("w", false, "apply patches in place")
-	outDir := flag.String("o", "", "write rewritten files into this directory instead of diffing")
-	jsonOut := flag.String("json", "", "also write the search result JSON to this file")
-	events := flag.String("events", "", "write framework events (JSONL) to this file")
-	quiet := flag.Bool("q", false, "suppress event loglines on stderr")
-	flag.Parse()
-	srcs = append(srcs, flag.Args()...)
-
-	if *storeDir == "" {
-		return fmt.Errorf("-store is required")
-	}
+	storeDir := flags.String("store", "", "tuner store directory (or store file) supplying workload profiles; selects the search-and-pin mode")
+	flags.Var(&srcs, "src", "source file, directory, or dir/... to scan for allocation sites (repeatable; also taken from the arguments)")
+	list := flags.Bool("list", false, "only list the rewritable allocation sites")
+	all := flags.Bool("all", false, "without -store: rewrite every recognized catalog constructor, not only the JDK defaults")
+	objective := flags.String("objective", "time,mem", "comma-separated search objectives: time, mem, alloc, energy")
+	seed := flags.Int64("seed", 1, "search random seed")
+	pop := flags.Int("pop", 64, "search population size")
+	gens := flags.Int("gens", 120, "search generations")
+	pick := flags.Int("pick", -1, "front member to emit patches for (-1 = automatic knee point)")
+	top := flags.Int("top", 0, "limit the printed front table to the first N rows (0 = all)")
+	write := flags.Bool("w", false, "rewrite files in place")
+	outDir := flags.String("o", "", "write rewritten files into this directory instead of diffing")
+	jsonOut := flags.String("json", "", "also write the search result JSON to this file")
+	events := flags.String("events", "", "write framework events (JSONL) to this file")
+	quiet := flags.Bool("q", false, "suppress event loglines on stderr")
+	flags.Parse(args)
+	srcs = append(srcs, flags.Args()...)
 	if len(srcs) == 0 {
 		return fmt.Errorf("no sources: pass -src FILE|DIR|DIR/...")
-	}
-	objs, err := search.ParseObjectives(*objective)
-	if err != nil {
-		return err
 	}
 
 	// ---- sinks ---------------------------------------------------------
 	var sinks []obs.Sink
 	if !*quiet {
 		sinks = append(sinks, obs.NewLogfSink(func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "collopt: "+format+"\n", args...)
+			fmt.Fprintf(stderr, "collopt: "+format+"\n", args...)
 		}))
 	}
-	var jsonl *obs.JSONLSink
 	if *events != "" {
 		f, err := os.Create(*events)
 		if err != nil {
 			return fmt.Errorf("creating events file: %w", err)
 		}
 		defer f.Close()
-		jsonl = obs.NewJSONLSink(f)
+		jsonl := obs.NewJSONLSink(f)
 		defer jsonl.Flush()
 		sinks = append(sinks, jsonl)
 	}
@@ -103,178 +110,224 @@ func run() error {
 		}
 	}
 
-	// ---- store ---------------------------------------------------------
-	store, err := tuner.ReadStore(*storeDir)
-	if err != nil {
-		return err
-	}
-	if !store.FingerprintMatches {
-		fmt.Fprintf(os.Stderr, "collopt: warning: store %s was measured on another machine (fingerprint mismatch); its profiles still drive the search but its model curves may not transfer\n", store.Path)
-	}
-
-	// Models: analytic defaults, refined curves overlaid when present.
-	models := perfmodel.Default()
-	if store.Models != nil {
-		models = models.Clone()
-		models.Merge(store.Models)
-	}
-
 	// ---- scan sources --------------------------------------------------
 	files, err := resolveSources(srcs)
 	if err != nil {
 		return err
 	}
 	rw := rewrite.NewRewriter()
-	type scanned struct {
-		path  string
-		src   []byte
-		sites []rewrite.Site
+	type file struct {
+		path     string
+		src, out []byte
+		skipped  int // the scan's own skips, already reported
+		sites    int // sites rewritten
 	}
-	var scans []scanned
+	var scans []*file
 	var sites []rewrite.Site
+	var failures []error
 	for _, path := range files {
 		src, err := os.ReadFile(path)
 		if err != nil {
-			return err
+			failures = append(failures, err)
+			continue
 		}
 		res, err := rw.Scan(src, path)
 		if err != nil {
-			return err
+			failures = append(failures, err)
+			continue
 		}
-		for _, sk := range res.Skipped {
-			fmt.Fprintf(os.Stderr, "collopt: skipped %s:%d: %s — %s\n", sk.File, sk.Line, sk.Call, sk.Reason)
-		}
+		reportSkipped(stderr, res.Skipped)
 		if len(res.Sites) > 0 {
-			scans = append(scans, scanned{path: path, src: src, sites: res.Sites})
+			scans = append(scans, &file{path: path, src: src, skipped: len(res.Skipped)})
 			sites = append(sites, res.Sites...)
 		}
 	}
-	if len(sites) == 0 {
-		return fmt.Errorf("no recognizable allocation sites under %v", []string(srcs))
+	if len(failures) > 0 {
+		return nothingWritten(failures)
+	}
+	if *list {
+		for _, s := range sites {
+			fmt.Fprintf(stdout, "%s:%d:%d: %s (%s[%s] -> %s)\n", s.File, s.Line, s.Col, s.Original, s.Kind, s.TypeArgs, s.Variant)
+		}
+		return nil
 	}
 
-	// ---- assemble the search problem -----------------------------------
-	problem := search.Problem{Models: models, Objectives: objs}
-	seedAssign := make([]collections.VariantID, len(sites))
-	matched := 0
-	for i, s := range sites {
-		prof, storeVariant, ok := matchProfile(s, store.Sites)
-		if ok {
-			matched++
-		} else {
-			fmt.Fprintf(os.Stderr, "collopt: warning: no store profile for %s; using an abstraction-average profile\n", s.Name())
+	// ---- search (pinned mode) ------------------------------------------
+	pinned := *storeDir != ""
+	cfg := rewrite.Config{DefaultsOnly: !*all}
+	var (
+		res     search.Result
+		problem search.Problem
+		chosen  int
+		matched int
+	)
+	if pinned {
+		if len(sites) == 0 {
+			return fmt.Errorf("no recognizable allocation sites under %v", []string(srcs))
 		}
-		problem.Sites = append(problem.Sites, search.Site{
-			Name:        s.Name(),
-			Abstraction: s.Kind,
-			Baseline:    s.Variant,
-			Candidates:  candidatePool(s.Kind, s.Variant),
-			Profile:     prof,
+		objs, err := search.ParseObjectives(*objective)
+		if err != nil {
+			return err
+		}
+		store, err := tuner.ReadStore(*storeDir)
+		if err != nil {
+			return err
+		}
+		if !store.FingerprintMatches {
+			fmt.Fprintf(stderr, "collopt: warning: store %s was measured on another machine (fingerprint mismatch); its profiles still drive the search but its model curves may not transfer\n", store.Path)
+		}
+		// Models: analytic defaults, refined curves overlaid when present.
+		models := perfmodel.Default()
+		if store.Models != nil {
+			models = models.Clone()
+			models.Merge(store.Models)
+		}
+
+		problem = search.Problem{Models: models, Objectives: objs}
+		seedAssign := make([]collections.VariantID, len(sites))
+		for i, s := range sites {
+			prof, storeVariant, ok := matchProfile(s, store.Sites)
+			if ok {
+				matched++
+			} else {
+				fmt.Fprintf(stderr, "collopt: warning: no store profile for %s; using an abstraction-average profile\n", s.Name())
+			}
+			problem.Sites = append(problem.Sites, search.Site{
+				Name:        s.Name(),
+				Abstraction: s.Kind,
+				Baseline:    s.Variant,
+				Candidates:  candidatePool(s.Kind, s.Variant),
+				Profile:     prof,
+			})
+			seedAssign[i] = s.Variant
+			if storeVariant != "" {
+				seedAssign[i] = storeVariant
+			}
+		}
+
+		objNames := make([]string, len(objs))
+		for i, o := range objs {
+			objNames[i] = string(o)
+		}
+		emit(obs.SearchStarted{Store: store.Path, Sites: len(sites), Objectives: objNames, Seed: *seed})
+		res, err = search.Run(problem, search.Config{
+			Seed:        *seed,
+			Population:  *pop,
+			Generations: *gens,
+			Seeds:       [][]collections.VariantID{seedAssign},
 		})
-		seedAssign[i] = s.Variant
-		if storeVariant != "" {
-			seedAssign[i] = storeVariant
+		if err != nil {
+			return err
 		}
-	}
-
-	objNames := make([]string, len(objs))
-	for i, o := range objs {
-		objNames[i] = string(o)
-	}
-	emit(obs.SearchStarted{Store: store.Path, Sites: len(sites), Objectives: objNames, Seed: *seed})
-
-	res, err := search.Run(problem, search.Config{
-		Seed:        *seed,
-		Population:  *pop,
-		Generations: *gens,
-		Seeds:       [][]collections.VariantID{seedAssign},
-	})
-	if err != nil {
-		return err
-	}
-	dominating := 0
-	for _, a := range res.Front {
-		if n, noWorse := search.BetterCount(a.Costs, res.Baseline.Costs); noWorse && n >= 2 {
-			dominating++
+		dominating := 0
+		for _, a := range res.Front {
+			if n, noWorse := search.BetterCount(a.Costs, res.Baseline.Costs); noWorse && n >= 2 {
+				dominating++
+			}
 		}
-	}
-	emit(obs.SearchFront{
-		Sites: len(sites), FrontSize: len(res.Front),
-		Evaluations: res.Evaluations, DominatingBaseline: dominating,
-	})
+		emit(obs.SearchFront{
+			Sites: len(sites), FrontSize: len(res.Front),
+			Evaluations: res.Evaluations, DominatingBaseline: dominating,
+		})
 
-	// ---- report --------------------------------------------------------
-	chosen := *pick
-	if chosen < 0 {
-		chosen = chooseKnee(res)
-	}
-	if chosen < 0 || chosen >= len(res.Front) {
-		return fmt.Errorf("-pick %d out of range (front has %d members)", chosen, len(res.Front))
-	}
-	printFront(os.Stdout, res, problem, chosen, *top)
-	if err := printJSON(os.Stdout, *jsonOut, res, chosen); err != nil {
-		return err
-	}
-
-	// ---- emit patches --------------------------------------------------
-	assignment := res.Front[chosen]
-	byName := make(map[string]collections.VariantID, len(assignment.Variants))
-	for i, v := range assignment.Variants {
-		byName[problem.Sites[i].Name] = v
-	}
-	pinned := 0
-	for _, sc := range scans {
-		pin := func(s rewrite.Site) (collections.VariantID, bool) {
+		chosen = *pick
+		if chosen < 0 {
+			chosen = chooseKnee(res)
+		}
+		if chosen < 0 || chosen >= len(res.Front) {
+			return fmt.Errorf("-pick %d out of range (front has %d members)", chosen, len(res.Front))
+		}
+		byName := make(map[string]collections.VariantID, len(sites))
+		for i, v := range res.Front[chosen].Variants {
+			byName[problem.Sites[i].Name] = v
+		}
+		cfg = rewrite.Config{Pin: func(s rewrite.Site) (collections.VariantID, bool) {
 			v, ok := byName[s.Name()]
 			if !ok || v == s.Variant {
 				return "", false // unknown or already the chosen variant
 			}
 			return v, true
-		}
-		out, rres, err := rw.Rewrite(sc.src, sc.path, rewrite.Config{Pin: pin})
+		}}
+	}
+
+	// ---- rewrite every file in memory ----------------------------------
+	rewritten, patched := 0, 0
+	for _, f := range scans {
+		out, rres, err := rw.Rewrite(f.src, f.path, cfg)
 		if err != nil {
-			return err
-		}
-		if len(rres.Sites) == 0 {
+			failures = append(failures, err)
 			continue
 		}
-		pinned += len(rres.Sites)
-		dest, err := writePatch(sc.path, sc.src, out, *write, *outDir)
+		if !pinned {
+			// The adaptive mode's own exclusions (non-default
+			// constructors) follow the scan's skips.
+			reportSkipped(stderr, rres.Skipped[f.skipped:])
+		}
+		if f.out, f.sites = out, len(rres.Sites); f.sites > 0 {
+			rewritten += f.sites
+			patched++
+		}
+	}
+	if len(failures) > 0 {
+		return nothingWritten(failures)
+	}
+
+	// ---- deliver -------------------------------------------------------
+	if pinned {
+		printFront(stdout, res, problem, chosen, *top)
+		if err := printJSON(stdout, *jsonOut, res, chosen); err != nil {
+			return err
+		}
+	}
+	for _, f := range scans {
+		if f.sites == 0 {
+			continue
+		}
+		dest, err := deliver(stdout, f.path, f.src, f.out, *write, *outDir)
 		if err != nil {
 			return err
 		}
-		emit(obs.PatchEmitted{File: sc.path, Pinned: len(rres.Sites), Output: dest})
+		if pinned {
+			emit(obs.PatchEmitted{File: f.path, Pinned: f.sites, Output: dest})
+		}
 	}
-	if pinned == 0 {
-		fmt.Fprintln(os.Stderr, "collopt: chosen assignment matches every site's current constructor; no patch needed")
+	if !pinned {
+		fmt.Fprintf(stderr, "collopt: rewrote %d sites in %d files\n", rewritten, patched)
+		return nil
 	}
-	fmt.Fprintf(os.Stderr, "collopt: %d sites (%d profiled from store), front %d, chose #%d, pinned %d\n",
-		len(sites), matched, len(res.Front), chosen, pinned)
+	if rewritten == 0 {
+		fmt.Fprintln(stderr, "collopt: chosen assignment matches every site's current constructor; no patch needed")
+	}
+	fmt.Fprintf(stderr, "collopt: %d sites (%d profiled from store), front %d, chose #%d, pinned %d\n",
+		len(sites), matched, len(res.Front), chosen, rewritten)
 	return nil
 }
 
-// resolveSources expands file, dir and dir/... arguments into a sorted list
-// of non-test .go files.
-func resolveSources(srcs []string) ([]string, error) {
-	seen := map[string]bool{}
-	var files []string
-	addFile := func(path string) {
-		if !seen[path] {
-			seen[path] = true
-			files = append(files, path)
-		}
+// nothingWritten reports every file that failed to read, parse or rewrite.
+func nothingWritten(failures []error) error {
+	return fmt.Errorf("%d failure(s), nothing written:\n%w", len(failures), errors.Join(failures...))
+}
+
+// reportSkipped lists constructor calls that were seen but not rewritten,
+// with the reason.
+func reportSkipped(w io.Writer, skipped []rewrite.SkippedSite) {
+	for _, sk := range skipped {
+		fmt.Fprintf(w, "collopt: skipped %s:%d: %s — %s\n", sk.File, sk.Line, sk.Call, sk.Reason)
 	}
+}
+
+// resolveSources expands file, dir and dir/... arguments into a sorted list
+// of non-test .go files, each listed once however often it is named.
+func resolveSources(srcs []string) ([]string, error) {
+	var files []string
 	for _, arg := range srcs {
-		arg = strings.TrimSuffix(arg, "/...")
-		if arg == "" || arg == "." {
-			arg = "."
-		}
+		arg = filepath.Clean(strings.TrimSuffix(arg, "/..."))
 		info, err := os.Stat(arg)
 		if err != nil {
 			return nil, err
 		}
 		if !info.IsDir() {
-			addFile(arg)
+			files = append(files, arg)
 			continue
 		}
 		err = filepath.WalkDir(arg, func(path string, d fs.DirEntry, err error) error {
@@ -282,7 +335,7 @@ func resolveSources(srcs []string) ([]string, error) {
 				return err
 			}
 			if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-				addFile(path)
+				files = append(files, path)
 			}
 			return nil
 		})
@@ -291,7 +344,7 @@ func resolveSources(srcs []string) ([]string, error) {
 		}
 	}
 	sort.Strings(files)
-	return files, nil
+	return slices.Compact(files), nil
 }
 
 // candidatePool returns the default candidate variants of one abstraction in
@@ -431,7 +484,7 @@ func chooseKnee(res search.Result) int {
 }
 
 // printFront renders the Pareto front as a table.
-func printFront(w *os.File, res search.Result, p search.Problem, chosen, top int) {
+func printFront(w io.Writer, res search.Result, p search.Problem, chosen, top int) {
 	fmt.Fprintf(w, "Pareto front: %d assignments over %d sites (objectives: %v)\n\n", len(res.Front), len(p.Sites), res.Objectives)
 	fmt.Fprintf(w, "  %-4s", "#")
 	for _, o := range res.Objectives {
@@ -471,7 +524,7 @@ func printFront(w *os.File, res search.Result, p search.Problem, chosen, top int
 
 // printJSON writes the machine-readable result to stdout and optionally to a
 // file.
-func printJSON(w *os.File, path string, res search.Result, chosen int) error {
+func printJSON(w io.Writer, path string, res search.Result, chosen int) error {
 	doc := struct {
 		search.Result
 		Chosen int `json:"chosen"`
@@ -492,10 +545,10 @@ func printJSON(w *os.File, path string, res search.Result, chosen int) error {
 	return nil
 }
 
-// writePatch delivers one rewritten file: in place (-w), into an output tree
+// deliver writes one rewritten file: in place (-w), into an output tree
 // (-o), or as a unified diff on stdout. It returns a description of where
-// the patch went.
-func writePatch(path string, src, out []byte, inPlace bool, outDir string) (string, error) {
+// the file went.
+func deliver(stdout io.Writer, path string, src, out []byte, inPlace bool, outDir string) (string, error) {
 	switch {
 	case inPlace:
 		if err := os.WriteFile(path, out, 0o644); err != nil {
@@ -512,7 +565,9 @@ func writePatch(path string, src, out []byte, inPlace bool, outDir string) (stri
 		}
 		return dest, nil
 	default:
-		fmt.Print(unifiedDiff("a/"+path, "b/"+path, src, out))
+		if _, err := io.WriteString(stdout, unifiedDiff("a/"+path, "b/"+path, src, out)); err != nil {
+			return "", err
+		}
 		return "stdout (unified diff)", nil
 	}
 }

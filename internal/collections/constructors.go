@@ -1,8 +1,8 @@
 package collections
 
 // This file maps the module's zero-argument constructor functions to the
-// catalog variants they instantiate. The rewrite pipeline (internal/rewrite,
-// cmd/switchparse, cmd/collopt) recognizes allocation sites through this
+// catalog variants they instantiate. The rewrite pipeline (internal/rewrite
+// and its front end cmd/collopt) recognizes allocation sites through this
 // table instead of a hard-coded constructor list, so a variant registered
 // with WithConstructor is discovered — and rewritable — exactly like the
 // builtins.

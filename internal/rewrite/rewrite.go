@@ -10,14 +10,14 @@
 //	l := switchCtx1.NewList()
 //
 // plus a generated package-level block declaring the engine and one context
-// per site. Two rewrite modes exist:
+// per site. cmd/collopt is the front end of both rewrite modes:
 //
-//   - adaptive (the paper's parser, cmd/switchparse): the context keeps the
-//     full default candidate pool and the engine switches variants online.
-//     Like the paper, the default rewrite only touches sites declared
-//     through the JDK-dominant default constructors; Config.DefaultsOnly
-//     false extends it to every recognized constructor.
-//   - pinned (cmd/collopt): the context is restricted to a single chosen
+//   - adaptive (the paper's parser, collopt without -store): the context
+//     keeps the full default candidate pool and the engine switches variants
+//     online. Like the paper, the default rewrite only touches sites
+//     declared through the JDK-dominant default constructors;
+//     Config.DefaultsOnly false extends it to every recognized constructor.
+//   - pinned (collopt -store): the context is restricted to a single chosen
 //     variant (WithCandidates == WithDefaultVariant), turning an offline
 //     search result into a static, reviewable source patch.
 //
@@ -42,7 +42,9 @@ import (
 )
 
 // Marker identifies generated code; files containing it are left alone so
-// the rewriter is idempotent.
+// the rewriter is idempotent. Its text names the command that first wrote it
+// and must stay byte for byte: trees rewritten earlier carry it, and a
+// changed marker would let a second run rewrite them again.
 const Marker = "// Code generated by switchparse; allocation contexts below."
 
 // collectionsPath is the import path constructor calls are matched against.
@@ -118,7 +120,8 @@ type Config struct {
 	// DefaultsOnly restricts the adaptive rewrite to the paper's three
 	// JDK-dominant default constructors (NewArrayList, NewHashSet,
 	// NewHashMap); other recognized sites are reported as skipped. This is
-	// the parser's Section 4.3 behavior and the cmd/switchparse default.
+	// the parser's Section 4.3 behavior and cmd/collopt's default without
+	// -all.
 	DefaultsOnly bool
 	// Pin, when non-nil, switches to pinned mode: it is called for every
 	// recognized site and returns the variant to pin the site to. Sites for
@@ -177,56 +180,62 @@ func (r *Rewriter) Scan(src []byte, filename string) (ScanResult, error) {
 	if pkgName == "" || pkgName == "_" {
 		return res, nil
 	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
+	for _, decl := range file.Decls {
+		locals := localTypes(decl)
+		ast.Inspect(decl, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, typeArgs := constructorOf(call.Fun)
+			if sel == nil {
+				return true
+			}
+			ident, ok := sel.X.(*ast.Ident)
+			if !ok || ident.Name != pkgName || !strings.HasPrefix(sel.Sel.Name, "New") {
+				return true
+			}
+			pos := fset.Position(call.Pos())
+			start := fset.Position(call.Pos()).Offset
+			end := fset.Position(call.End()).Offset
+			text := string(src[start:end])
+			skip := func(reason string) {
+				res.Skipped = append(res.Skipped, SkippedSite{
+					File: filename, Line: pos.Line, Col: pos.Column,
+					Call: text, Reason: reason,
+				})
+			}
+			entry, known := r.byConstructor[sel.Sel.Name]
+			local := localTypeArg(typeArgs, locals)
+			switch {
+			case len(call.Args) > 0:
+				skip("parameterized constructor call (explicit capacity/preset choice)")
+			case !known:
+				skip("no catalog variant declares this constructor")
+			case entry.Group == collections.GroupSorted:
+				skip(fmt.Sprintf("sorted extension %q needs cmp.Ordered elements; allocation contexts require only comparable", entry.Info.ID))
+			case entry.Group == collections.GroupConcurrent:
+				skip(fmt.Sprintf("concurrent extension %q is outside the context candidate pools", entry.Info.ID))
+			case len(typeArgs) == 0:
+				skip("cannot determine element type (no explicit type arguments)")
+			case local != "":
+				skip(local + "; the generated package-level context cannot name it")
+			default:
+				res.Sites = append(res.Sites, Site{
+					File:     filename,
+					Line:     pos.Line,
+					Col:      pos.Column,
+					Kind:     entry.Info.Abstraction,
+					Variant:  entry.Info.ID,
+					TypeArgs: typeArgText(src, fset, typeArgs),
+					Original: text,
+					start:    start,
+					end:      end,
+				})
+			}
 			return true
-		}
-		sel, typeArgs := constructorOf(call.Fun)
-		if sel == nil {
-			return true
-		}
-		ident, ok := sel.X.(*ast.Ident)
-		if !ok || ident.Name != pkgName || !strings.HasPrefix(sel.Sel.Name, "New") {
-			return true
-		}
-		pos := fset.Position(call.Pos())
-		start := fset.Position(call.Pos()).Offset
-		end := fset.Position(call.End()).Offset
-		text := string(src[start:end])
-		skip := func(reason string) {
-			res.Skipped = append(res.Skipped, SkippedSite{
-				File: filename, Line: pos.Line, Col: pos.Column,
-				Call: text, Reason: reason,
-			})
-		}
-		entry, known := r.byConstructor[sel.Sel.Name]
-		switch {
-		case len(call.Args) > 0:
-			skip("parameterized constructor call (explicit capacity/preset choice)")
-		case !known:
-			skip("no catalog variant declares this constructor")
-		case entry.Group == collections.GroupSorted:
-			skip(fmt.Sprintf("sorted extension %q needs cmp.Ordered elements; allocation contexts require only comparable", entry.Info.ID))
-		case entry.Group == collections.GroupConcurrent:
-			skip(fmt.Sprintf("concurrent extension %q is outside the context candidate pools", entry.Info.ID))
-		case len(typeArgs) == 0:
-			skip("cannot determine element type (no explicit type arguments)")
-		default:
-			res.Sites = append(res.Sites, Site{
-				File:     filename,
-				Line:     pos.Line,
-				Col:      pos.Column,
-				Kind:     entry.Info.Abstraction,
-				Variant:  entry.Info.ID,
-				TypeArgs: typeArgText(src, fset, typeArgs),
-				Original: text,
-				start:    start,
-				end:      end,
-			})
-		}
-		return true
-	})
+		})
+	}
 	sort.Slice(res.Sites, func(i, j int) bool { return res.Sites[i].start < res.Sites[j].start })
 	sort.Slice(res.Skipped, func(i, j int) bool {
 		a, b := res.Skipped[i], res.Skipped[j]
@@ -241,8 +250,8 @@ func (r *Rewriter) Scan(src []byte, filename string) (ScanResult, error) {
 // Rewrite rewrites the allocation sites of src selected by cfg to static
 // allocation contexts, appending the generated declarations. It returns the
 // rewritten source and the scan outcome with res.Sites narrowed to the sites
-// actually rewritten; sites excluded by the mode move to res.Skipped. If no
-// site is rewritten, src is returned unchanged.
+// actually rewritten; sites excluded by the mode are appended to res.Skipped,
+// after the scan's own. If no site is rewritten, src is returned unchanged.
 func (r *Rewriter) Rewrite(src []byte, filename string, cfg Config) ([]byte, ScanResult, error) {
 	res, err := r.Scan(src, filename)
 	if err != nil {
@@ -330,42 +339,94 @@ func skippedFrom(s Site, reason string) SkippedSite {
 	return SkippedSite{File: s.File, Line: s.Line, Col: s.Col, Call: s.Original, Reason: reason}
 }
 
-// ScanFile parses src and returns the rewritable allocation sites in
-// positional order. Convenience wrapper over Rewriter.Scan.
-func ScanFile(src []byte, filename string) ([]Site, error) {
-	res, err := NewRewriter().Scan(src, filename)
-	return res.Sites, err
-}
-
-// RewriteFile rewrites every default-constructor allocation site in src to
-// use a static adaptive allocation context, appending the generated
-// declarations — the paper's Section 4.3 parse. It returns the rewritten
-// source and the sites changed; if no site matches, src is returned
-// unchanged with a nil site list.
-func RewriteFile(src []byte, filename string) ([]byte, []Site, error) {
-	out, res, err := NewRewriter().Rewrite(src, filename, Config{DefaultsOnly: true})
-	return out, res.Sites, err
-}
-
 // constructorOf unwraps fun into its selector and type-argument expressions:
 // collections.NewArrayList[int] is an IndexExpr over a SelectorExpr;
 // collections.NewHashMap[K, V] is an IndexListExpr. A bare SelectorExpr (a
 // non-generic call) is returned with no type arguments so skipped-site
-// reporting still sees it.
+// reporting still sees it. The selector is nil when fun is not one.
 func constructorOf(fun ast.Expr) (*ast.SelectorExpr, []ast.Expr) {
-	switch f := fun.(type) {
+	x, args := instantiation(fun)
+	sel, _ := x.(*ast.SelectorExpr)
+	return sel, args
+}
+
+// instantiation splits x[A] or x[A, B] into x and its type arguments; any
+// other expression is returned whole, with none.
+func instantiation(e ast.Expr) (ast.Expr, []ast.Expr) {
+	switch f := e.(type) {
 	case *ast.IndexExpr:
-		if sel, ok := f.X.(*ast.SelectorExpr); ok {
-			return sel, []ast.Expr{f.Index}
-		}
+		return f.X, []ast.Expr{f.Index}
 	case *ast.IndexListExpr:
-		if sel, ok := f.X.(*ast.SelectorExpr); ok {
-			return sel, f.Indices
-		}
-	case *ast.SelectorExpr:
-		return f, nil
+		return f.X, f.Indices
 	}
-	return nil, nil
+	return e, nil
+}
+
+// localTypes maps the type names a top-level declaration introduces that
+// package-level code cannot name to what they are: the type parameters of a
+// function and of a method's receiver, and every type declared inside a
+// function body (conservatively, whatever its scope). It reads the syntax
+// alone: go/parser leaves uses of a receiver's type parameters unresolved
+// (Ident.Obj is nil), so an Obj-based check would miss them.
+func localTypes(decl ast.Decl) map[string]string {
+	locals := map[string]string{}
+	if fd, ok := decl.(*ast.FuncDecl); ok {
+		if fd.Type.TypeParams != nil {
+			for _, f := range fd.Type.TypeParams.List {
+				for _, id := range f.Names {
+					locals[id.Name] = "a type parameter of the enclosing function"
+				}
+			}
+		}
+		if fd.Recv != nil && len(fd.Recv.List) == 1 {
+			recv := fd.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			_, params := instantiation(recv)
+			for _, p := range params {
+				if id, ok := p.(*ast.Ident); ok {
+					locals[id.Name] = "a type parameter of the method's receiver"
+				}
+			}
+		}
+	}
+	ast.Inspect(decl, func(n ast.Node) bool {
+		// A DeclStmt is a declaration inside a function body, package-level
+		// function literals included.
+		if ds, ok := n.(*ast.DeclStmt); ok {
+			if gd, ok := ds.Decl.(*ast.GenDecl); ok {
+				for _, spec := range gd.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						locals[ts.Name.Name] = "a type declared inside the function"
+					}
+				}
+			}
+		}
+		return true
+	})
+	return locals
+}
+
+// localTypeArg describes the first name in a site's type arguments that
+// locals holds, or returns "" when the generated package-level context can
+// name every type argument.
+func localTypeArg(args []ast.Expr, locals map[string]string) string {
+	var found string
+	for _, a := range args {
+		ast.Inspect(a, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				return false // pkg.T: another package's type is never local
+			case *ast.Ident:
+				if what, ok := locals[n.Name]; ok && found == "" {
+					found = fmt.Sprintf("type argument %s is %s", n.Name, what)
+				}
+			}
+			return found == ""
+		})
+	}
+	return found
 }
 
 // typeArgText extracts the source text of the type arguments.

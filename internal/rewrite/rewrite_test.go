@@ -29,10 +29,11 @@ func build() {
 `
 
 func TestScanFindsAllSites(t *testing.T) {
-	sites, err := ScanFile([]byte(sample), "demo.go")
+	res, err := NewRewriter().Scan([]byte(sample), "demo.go")
 	if err != nil {
 		t.Fatal(err)
 	}
+	sites := res.Sites
 	if len(sites) != 3 {
 		t.Fatalf("found %d sites, want 3", len(sites))
 	}
@@ -54,12 +55,12 @@ func TestScanFindsAllSites(t *testing.T) {
 }
 
 func TestRewriteProducesContexts(t *testing.T) {
-	out, sites, err := RewriteFile([]byte(sample), "demo.go")
+	out, res, err := NewRewriter().Rewrite([]byte(sample), "demo.go", Config{DefaultsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sites) != 3 {
-		t.Fatalf("rewrote %d sites, want 3", len(sites))
+	if len(res.Sites) != 3 {
+		t.Fatalf("rewrote %d sites, want 3", len(res.Sites))
 	}
 	text := string(out)
 	for _, want := range []string{
@@ -86,7 +87,7 @@ func TestRewriteProducesContexts(t *testing.T) {
 			t.Errorf("rewritten source still contains %s", gone)
 		}
 	}
-	// The output must be parseable Go (RewriteFile verifies, double-check).
+	// The output must be parseable Go (Rewrite verifies, double-check).
 	fset := token.NewFileSet()
 	if _, err := parser.ParseFile(fset, "demo.go", out, 0); err != nil {
 		t.Fatalf("output does not parse: %v", err)
@@ -94,16 +95,16 @@ func TestRewriteProducesContexts(t *testing.T) {
 }
 
 func TestRewriteIdempotent(t *testing.T) {
-	out, sites, err := RewriteFile([]byte(sample), "demo.go")
-	if err != nil || len(sites) == 0 {
+	out, res, err := NewRewriter().Rewrite([]byte(sample), "demo.go", Config{DefaultsOnly: true})
+	if err != nil || len(res.Sites) == 0 {
 		t.Fatal(err)
 	}
-	again, sites2, err := RewriteFile(out, "demo.go")
+	again, res2, err := NewRewriter().Rewrite(out, "demo.go", Config{DefaultsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sites2) != 0 {
-		t.Fatalf("second pass rewrote %d sites", len(sites2))
+	if len(res2.Sites) != 0 {
+		t.Fatalf("second pass rewrote %d sites", len(res2.Sites))
 	}
 	if string(again) != string(out) {
 		t.Fatal("second pass changed the file")
@@ -122,12 +123,12 @@ func build() {
 	_, _, _ = a, b, c
 }
 `
-	out, sites, err := RewriteFile([]byte(src), "demo.go")
+	out, res, err := NewRewriter().Rewrite([]byte(src), "demo.go", Config{DefaultsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sites) != 0 {
-		t.Fatalf("rewrote %d sites, want 0", len(sites))
+	if len(res.Sites) != 0 {
+		t.Fatalf("rewrote %d sites, want 0", len(res.Sites))
 	}
 	if string(out) != src {
 		t.Fatal("file changed despite no rewritable sites")
@@ -144,12 +145,12 @@ func build() {
 	l.Add(1)
 }
 `
-	out, sites, err := RewriteFile([]byte(src), "demo.go")
+	out, res, err := NewRewriter().Rewrite([]byte(src), "demo.go", Config{DefaultsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sites) != 1 {
-		t.Fatalf("found %d sites under alias, want 1", len(sites))
+	if len(res.Sites) != 1 {
+		t.Fatalf("found %d sites under alias, want 1", len(res.Sites))
 	}
 	if !strings.Contains(string(out), "switchCtx1.NewList()") {
 		t.Error("aliased site not rewritten")
@@ -163,11 +164,11 @@ type NewArrayList struct{}
 
 func build() {}
 `
-	out, sites, err := RewriteFile([]byte(src), "demo.go")
+	out, res, err := NewRewriter().Rewrite([]byte(src), "demo.go", Config{DefaultsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sites) != 0 || string(out) != src {
+	if len(res.Sites) != 0 || string(out) != src {
 		t.Fatal("file without the collections import was modified")
 	}
 }
@@ -182,12 +183,12 @@ func build() {
 	_ = l
 }
 `
-	out, sites, err := RewriteFile([]byte(src), "demo.go")
+	out, res, err := NewRewriter().Rewrite([]byte(src), "demo.go", Config{DefaultsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sites) != 1 {
-		t.Fatalf("sites = %d", len(sites))
+	if len(res.Sites) != 1 {
+		t.Fatalf("sites = %d", len(res.Sites))
 	}
 	fset := token.NewFileSet()
 	if _, err := parser.ParseFile(fset, "demo.go", out, 0); err != nil {
@@ -199,7 +200,7 @@ func build() {
 }
 
 func TestScanRejectsInvalidGo(t *testing.T) {
-	if _, err := ScanFile([]byte("not go at all"), "bad.go"); err == nil {
+	if _, err := NewRewriter().Scan([]byte("not go at all"), "bad.go"); err == nil {
 		t.Fatal("invalid source accepted")
 	}
 }
@@ -218,12 +219,12 @@ func build() holder {
 	return holder{items: collections.NewHashSet[int]()}
 }
 `
-	out, sites, err := RewriteFile([]byte(src), "demo.go")
+	out, res, err := NewRewriter().Rewrite([]byte(src), "demo.go", Config{DefaultsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sites) != 1 {
-		t.Fatalf("sites = %d, want 1", len(sites))
+	if len(res.Sites) != 1 {
+		t.Fatalf("sites = %d, want 1", len(res.Sites))
 	}
 	if !strings.Contains(string(out), "holder{items: switchCtx1.NewSet()}") {
 		t.Errorf("nested site not rewritten:\n%s", out)
@@ -243,12 +244,12 @@ func Build() int {
 	return l.Len()
 }
 `
-	out, sites, err := RewriteFile([]byte(src), "demo.go")
+	out, res, err := NewRewriter().Rewrite([]byte(src), "demo.go", Config{DefaultsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sites) != 1 {
-		t.Fatalf("sites = %d", len(sites))
+	if len(res.Sites) != 1 {
+		t.Fatalf("sites = %d", len(res.Sites))
 	}
 	if strings.Contains(string(out), `"repro/internal/collections"`) {
 		t.Errorf("unused collections import survived:\n%s", out)
@@ -273,12 +274,12 @@ func Build() int {
 	return l.Len() + x.Len()
 }
 `
-	out, sites, err := RewriteFile([]byte(src), "demo.go")
+	out, res, err := NewRewriter().Rewrite([]byte(src), "demo.go", Config{DefaultsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sites) != 1 {
-		t.Fatalf("sites = %d", len(sites))
+	if len(res.Sites) != 1 {
+		t.Fatalf("sites = %d", len(res.Sites))
 	}
 	if !strings.Contains(string(out), `"repro/internal/collections"`) {
 		t.Errorf("still-used collections import removed:\n%s", out)
@@ -354,6 +355,54 @@ func build() {
 	}
 	if r := reasons["collections.NewFrobnicator[int]()"]; !strings.Contains(r, "no catalog variant") {
 		t.Errorf("unknown reason = %q", r)
+	}
+}
+
+func TestScanSkipsLocalTypeArguments(t *testing.T) {
+	// A generated context is a package-level variable, so it cannot name a
+	// function's or a receiver's type parameter, or a type declared in a
+	// function body. The package-level T in build is another type.
+	src := `package demo
+
+import "repro/internal/collections"
+
+type T int
+
+func uniq[T comparable](xs []T) int {
+	s := collections.NewHashSet[T]()
+	return s.Len()
+}
+
+type stack[E comparable] struct{ items collections.List[E] }
+
+func (s *stack[E]) init() { s.items = collections.NewArrayList[E]() }
+
+func build() int {
+	type point struct{ x, y int }
+	ps := collections.NewHashMap[string, []point]()
+	ts := collections.NewHashSet[T]()
+	return ps.Len() + ts.Len()
+}
+`
+	res, err := NewRewriter().Scan([]byte(src), "demo.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Sites) != 1 || res.Sites[0].Line != 19 || res.Sites[0].TypeArgs != "T" {
+		t.Fatalf("sites = %+v, want only the package-level T set in build", res.Sites)
+	}
+	want := map[string]string{
+		"collections.NewHashSet[T]()":               "type argument T is a type parameter of the enclosing function",
+		"collections.NewArrayList[E]()":             "type argument E is a type parameter of the method's receiver",
+		"collections.NewHashMap[string, []point]()": "type argument point is a type declared inside the function",
+	}
+	if len(res.Skipped) != len(want) {
+		t.Fatalf("skipped = %+v, want %d", res.Skipped, len(want))
+	}
+	for _, sk := range res.Skipped {
+		if w, ok := want[sk.Call]; !ok || !strings.HasPrefix(sk.Reason, w) {
+			t.Errorf("skipped %s: reason %q, want it to start with %q", sk.Call, sk.Reason, w)
+		}
 	}
 }
 

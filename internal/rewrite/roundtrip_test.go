@@ -25,6 +25,26 @@ import (
 	"repro/internal/collections"
 )
 
+// The collections built in uniq, push and main's point set have type
+// arguments that only exist inside a function, which a package-level
+// context cannot name: the rewrite must leave these three sites alone.
+func uniq[T comparable](xs []T) int {
+	s := collections.NewHashSet[T]()
+	for _, x := range xs {
+		s.Add(x)
+	}
+	return s.Len()
+}
+
+type stack[E comparable] struct{ items collections.List[E] }
+
+func (s *stack[E]) push(e E) {
+	if s.items == nil {
+		s.items = collections.NewArrayList[E]()
+	}
+	s.items.Add(e)
+}
+
 func main() {
 	l := collections.NewArrayList[int]()
 	for i := 0; i < 5; i++ {
@@ -37,10 +57,20 @@ func main() {
 	m.Put("k", 7)
 	v, _ := m.Get("k")
 	fmt.Println(l.Len(), s.Len(), v)
+
+	type point struct{ x, y int }
+	ps := collections.NewHashSet[point]()
+	ps.Add(point{1, 2})
+	ps.Add(point{1, 2})
+	var st stack[string]
+	st.push("a")
+	st.push("b")
+	st.push("c")
+	fmt.Println(uniq([]int{1, 1, 2, 3, 3}), ps.Len(), st.items.Len())
 }
 `
 
-const roundtripWant = "5 1 7\n"
+const roundtripWant = "5 1 7\n3 1 3\n"
 
 func repoRoot(t *testing.T) string {
 	t.Helper()
@@ -88,12 +118,12 @@ func TestRoundTripAdaptiveRewriteBuildsAndRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds with the go toolchain")
 	}
-	out, sites, err := RewriteFile([]byte(roundtripSrc), "main.go")
+	out, res, err := NewRewriter().Rewrite([]byte(roundtripSrc), "main.go", Config{DefaultsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sites) != 3 {
-		t.Fatalf("got %d sites, want 3", len(sites))
+	if len(res.Sites) != 3 {
+		t.Fatalf("got %d sites, want 3", len(res.Sites))
 	}
 	if got := buildAndRun(t, out); got != roundtripWant {
 		t.Fatalf("adaptive rewrite changed behavior: got %q, want %q", got, roundtripWant)
