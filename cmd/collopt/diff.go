@@ -6,40 +6,45 @@ import (
 )
 
 // unifiedDiff renders a unified diff (3 context lines) between a and b,
-// labeled aName/bName. Empty when the inputs are equal. The implementation
-// is a plain dynamic-programming LCS — the rewritten files the tool diffs
-// are single source files, far below any size where that matters.
+// labeled aName/bName. Empty when the inputs are equal. The edit script
+// follows a dynamic-programming LCS table, filled only between the common
+// prefix and suffix: a rewrite that changes a few lines of a long file
+// fills a few cells, not one per pair of lines.
 func unifiedDiff(aName, bName string, a, b []byte) string {
 	al := splitLines(a)
 	bl := splitLines(b)
-	if len(al) == len(bl) {
-		equal := true
-		for i := range al {
-			if al[i] != bl[i] {
-				equal = false
-				break
-			}
-		}
-		if equal {
-			return ""
-		}
+	n, m := len(al), len(bl)
+	pre := 0
+	for pre < n && pre < m && al[pre] == bl[pre] {
+		pre++
+	}
+	if pre == n && pre == m {
+		return ""
+	}
+	suf := 0
+	for suf < n-pre && suf < m-pre && al[n-1-suf] == bl[m-1-suf] {
+		suf++
 	}
 
-	// LCS table.
-	n, m := len(al), len(bl)
-	lcs := make([][]int, n+1)
-	for i := range lcs {
-		lcs[i] = make([]int, m+1)
+	// lcs(i, j) is the LCS length of al[i:] and bl[j:], for i, j >= pre.
+	// Once either index reaches the common suffix, one tail is a tail of
+	// that suffix and the other ends with it, so the shorter tail is the
+	// LCS; the table holds the rest.
+	rows, cols := n-suf-pre, m-suf-pre
+	table := make([]int, rows*cols)
+	lcs := func(i, j int) int {
+		if i >= n-suf || j >= m-suf {
+			return min(n-i, m-j)
+		}
+		return table[(i-pre)*cols+j-pre]
 	}
-	for i := n - 1; i >= 0; i-- {
-		for j := m - 1; j >= 0; j-- {
-			if al[i] == bl[j] {
-				lcs[i][j] = lcs[i+1][j+1] + 1
-			} else if lcs[i+1][j] >= lcs[i][j+1] {
-				lcs[i][j] = lcs[i+1][j]
-			} else {
-				lcs[i][j] = lcs[i][j+1]
+	for i := n - suf - 1; i >= pre; i-- {
+		for j := m - suf - 1; j >= pre; j-- {
+			v := lcs(i+1, j+1) + 1
+			if al[i] != bl[j] {
+				v = max(lcs(i+1, j), lcs(i, j+1))
 			}
+			table[(i-pre)*cols+j-pre] = v
 		}
 	}
 
@@ -48,14 +53,14 @@ func unifiedDiff(aName, bName string, a, b []byte) string {
 		op   byte // ' ', '-', '+'
 		text string
 	}
-	var edits []edit
+	edits := make([]edit, 0, n+m-pre-lcs(pre, pre))
 	for i, j := 0, 0; i < n || j < m; {
 		switch {
 		case i < n && j < m && al[i] == bl[j]:
 			edits = append(edits, edit{' ', al[i]})
 			i++
 			j++
-		case i < n && (j == m || lcs[i+1][j] >= lcs[i][j+1]):
+		case i < n && (j == m || lcs(i+1, j) >= lcs(i, j+1)):
 			edits = append(edits, edit{'-', al[i]})
 			i++
 		default:

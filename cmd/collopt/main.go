@@ -85,6 +85,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if len(srcs) == 0 {
 		return fmt.Errorf("no sources: pass -src FILE|DIR|DIR/...")
 	}
+	pinned := *storeDir != ""
+	if err := checkModeFlags(flags, pinned); err != nil {
+		return err
+	}
 
 	// ---- sinks ---------------------------------------------------------
 	var sinks []obs.Sink
@@ -153,7 +157,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	// ---- search (pinned mode) ------------------------------------------
-	pinned := *storeDir != ""
 	cfg := rewrite.Config{DefaultsOnly: !*all}
 	var (
 		res     search.Result
@@ -303,6 +306,31 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
+// pinnedOnly names the flags that only the search-and-pin mode reads.
+var pinnedOnly = map[string]bool{
+	"json": true, "events": true, "objective": true, "seed": true,
+	"pop": true, "gens": true, "pick": true, "top": true,
+}
+
+// checkModeFlags rejects flags set on the command line that the selected
+// mode would ignore: the pinned-only flags without -store, and -all with it.
+func checkModeFlags(flags *flag.FlagSet, pinned bool) error {
+	var ignored []string
+	flags.Visit(func(f *flag.Flag) {
+		if pinnedOnly[f.Name] && !pinned || f.Name == "all" && pinned {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) == 0 {
+		return nil
+	}
+	mode := "with"
+	if pinned {
+		mode = "without"
+	}
+	return fmt.Errorf("%s: only read %s -store", strings.Join(ignored, ", "), mode)
+}
+
 // nothingWritten reports every file that failed to read, parse or rewrite.
 func nothingWritten(failures []error) error {
 	return fmt.Errorf("%d failure(s), nothing written:\n%w", len(failures), errors.Join(failures...))
@@ -317,11 +345,23 @@ func reportSkipped(w io.Writer, skipped []rewrite.SkippedSite) {
 }
 
 // resolveSources expands file, dir and dir/... arguments into a sorted list
-// of non-test .go files, each listed once however often it is named.
+// of non-test .go files, each listed once however often and however it is
+// named: an argument inside the working directory is made relative to it,
+// any other absolute.
 func resolveSources(srcs []string) ([]string, error) {
+	wd, err := os.Getwd()
+	if err != nil {
+		return nil, err
+	}
 	var files []string
 	for _, arg := range srcs {
-		arg = filepath.Clean(strings.TrimSuffix(arg, "/..."))
+		arg, err := filepath.Abs(strings.TrimSuffix(arg, "/..."))
+		if err != nil {
+			return nil, err
+		}
+		if rel, err := filepath.Rel(wd, arg); err == nil && filepath.IsLocal(rel) {
+			arg = rel
+		}
 		info, err := os.Stat(arg)
 		if err != nil {
 			return nil, err

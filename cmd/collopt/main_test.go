@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -184,6 +187,84 @@ func TestUnifiedDiff(t *testing.T) {
 	} {
 		if got := unifiedDiff("a", "b", []byte(a), []byte(lines("", 1, 20, tc.change))); got != tc.want {
 			t.Errorf("%s:\n%s\nwant:\n%s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestUnifiedDiffLongFileAllocatesLittle: one changed line in a 4000-line
+// file gives one hunk and allocates under 1 MB; an LCS table over every
+// pair of lines would take about 128 MB.
+func TestUnifiedDiffLongFileAllocatesLittle(t *testing.T) {
+	var sb strings.Builder
+	for i := 1; i <= 4000; i++ {
+		fmt.Fprintf(&sb, "%d\n", i)
+	}
+	a := []byte(sb.String())
+	b := []byte(strings.Replace(sb.String(), "\n2000\n", "\nX\n", 1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := unifiedDiff("a", "b", a, b)
+	runtime.ReadMemStats(&after)
+	want := "--- a\n+++ b\n@@ -1997,7 +1997,7 @@\n 1997\n 1998\n 1999\n-2000\n+X\n 2001\n 2002\n 2003\n"
+	if got != want {
+		t.Errorf("diff:\n%s\nwant:\n%s", got, want)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("diffing 4000 lines allocated %d bytes, want under 1 MB", n)
+	}
+}
+
+// TestModeFlagsRejected: a flag the selected mode would ignore fails the
+// run, naming the flag, before anything is written; -q stays valid in both
+// modes.
+func TestModeFlagsRejected(t *testing.T) {
+	inTree(t, map[string]string{"a.go": twoSites})
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-q", "-json", "F", "-events", "E", "-objective", "bogus", "."}, "-events, -json, -objective: only read with -store"},
+		{[]string{"-seed", "2", "-pop", "8", "-gens", "1", "-pick", "0", "-top", "1", "."}, "-gens, -pick, -pop, -seed, -top: only read with -store"},
+		{[]string{"-store", "S", "-all", "-q", "."}, "-all: only read without -store"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(tc.args, &stdout, &stderr); err == nil || err.Error() != tc.want {
+			t.Errorf("run %v = %v, want %q", tc.args, err, tc.want)
+		}
+		if stdout.Len() != 0 || stderr.Len() != 0 {
+			t.Errorf("run %v printed %q, %q", tc.args, stdout.String(), stderr.String())
+		}
+	}
+	for _, name := range []string{"F", "E"} {
+		if _, err := os.Stat(name); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s exists after a rejected run (stat: %v)", name, err)
+		}
+	}
+	if readFile(t, "a.go") != twoSites {
+		t.Error("a rejected run rewrote a.go")
+	}
+}
+
+// TestSourcesNamedTwoWaysScanOnce: a tree named once by absolute path and
+// once relative to the working directory is scanned once, under its
+// relative name.
+func TestSourcesNamedTwoWaysScanOnce(t *testing.T) {
+	t.Chdir("../..")
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-list", filepath.Join(wd, "examples/optdemo") + "/...", "examples/optdemo"}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\n%s", err, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("-list printed %d lines, want optdemo's 3 sites:\n%s", len(lines), stdout.String())
+	}
+	for _, l := range lines {
+		if !strings.HasPrefix(l, "examples/optdemo/workload.go:") {
+			t.Errorf("site listed as %q, want it relative to the working directory", l)
 		}
 	}
 }
