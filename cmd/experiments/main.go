@@ -35,7 +35,6 @@ func main() {
 	storeDir := flag.String("store", "", "warm-start store directory: load persisted site decisions/models before the run and save snapshots after (see internal/tuner)")
 	tracePath := flag.String("trace", "", "write structured framework events (JSONL) to this file")
 	metrics := flag.Bool("metrics", false, "print a metrics summary after each experiment")
-	parallel := flag.Int("parallel", 1, "analysis worker pool per engine (Config.AnalysisParallelism); 1 keeps the deterministic sequential trace ordering, 0 uses GOMAXPROCS")
 	confidence := flag.Float64("confidence", 0, "confidence level in (0,1) for interval-gated switching (Config.ConfidenceLevel); 0 keeps point-estimate switching — switches withheld by overlapping intervals surface as switch_suppressed events and the switches_suppressed_ci_total counter")
 	httpAddr := flag.String("http", "", "serve the live introspection endpoints (/metrics, /sites, /sites/{name}/explain, /events, /debug/vars) on this address, e.g. :6060 (see internal/diag)")
 	linger := flag.Duration("linger", 0, "with -http: keep serving this long after the experiments finish (so the endpoints can be inspected), e.g. 30s")
@@ -66,7 +65,7 @@ func main() {
 	// JSONL (the Table 6 rows are exactly reconstructible from that file
 	// via experiments.Table6FromEvents / obs.ReadAll). A -models file
 	// replaces the analytic defaults on every experiment engine.
-	o := apps.Obs{Metrics: obs.NewRegistry(), Parallelism: *parallel, Confidence: *confidence}
+	o := apps.Obs{Metrics: obs.NewRegistry(), Confidence: *confidence}
 
 	// Live introspection (-http): every experiment engine attaches to one
 	// diag server, a flight recorder captures the most recent framework

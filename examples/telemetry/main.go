@@ -75,10 +75,6 @@ func main() {
 
 	engine := core.NewEngineManual(core.Config{
 		Rule: core.Renergy(),
-		// AnalysisParallelism 1 keeps the trace in deterministic
-		// registration order; a service with many contexts would leave it
-		// at the default (GOMAXPROCS) so analysis latency stays flat.
-		AnalysisParallelism: 1,
 		// AnalysisSpans adds one ContextAnalyzed event per context per
 		// pass — per-context analysis latency, the debugging view of the
 		// Figure 7 overhead argument.

@@ -208,10 +208,6 @@ type Obs struct {
 	// runs.
 	Sink    obs.Sink
 	Metrics *obs.Registry
-	// Parallelism is Config.AnalysisParallelism: 0 uses the engine default
-	// (GOMAXPROCS); 1 analyzes contexts sequentially in registration
-	// order, reproducing the historical single-threaded event stream.
-	Parallelism int
 	// Confidence is Config.ConfidenceLevel: a level in (0, 1) arms
 	// confidence-aware switching, 0 keeps point-estimate switching.
 	Confidence float64
@@ -237,7 +233,6 @@ func (o Obs) NewEngine(base core.Config) *core.Engine {
 	base.Name = o.Label
 	base.Sink = obs.Multi(base.Sink, o.Sink)
 	base.Metrics = o.Metrics
-	base.AnalysisParallelism = o.Parallelism
 	base.ConfidenceLevel = o.Confidence
 	base.Models = o.Models
 	base.WarmStart = o.WarmStart
@@ -288,7 +283,8 @@ func RunObs(app App, mode Mode, rule core.Rule, seed int64, o Obs) Result {
 }
 
 // transitionSink keeps the Transition events of one run and drops the rest.
-// Analysis workers may emit concurrently, so appends take its lock.
+// Sinks may be called concurrently (core.Config.Sink), so appends take its
+// lock.
 type transitionSink struct {
 	mu     sync.Mutex
 	events []obs.Transition

@@ -222,19 +222,18 @@ func TestObsReachesEngine(t *testing.T) {
 	var got core.Config
 	var snaps int
 	o := Obs{
-		Label:       "probe",
-		Sink:        col,
-		Metrics:     reg,
-		Parallelism: 3,
-		Confidence:  0.9,
-		Models:      models,
-		WarmStart:   emptyWarmStore{},
-		Snapshots:   func([]core.SiteSnapshot) { snaps++ },
-		EngineHook:  func(e *core.Engine) { got = e.Config() },
+		Label:      "probe",
+		Sink:       col,
+		Metrics:    reg,
+		Confidence: 0.9,
+		Models:     models,
+		WarmStart:  emptyWarmStore{},
+		Snapshots:  func([]core.SiteSnapshot) { snaps++ },
+		EngineHook: func(e *core.Engine) { got = e.Config() },
 	}
 	RunObs(NewAvrora(0.02), ModeFullAdap, core.Ralloc(), 1, o)
-	if got.Name != "probe" || got.Metrics != reg || got.AnalysisParallelism != 3 ||
-		got.ConfidenceLevel != 0.9 || got.Models != models || got.WarmStart != (emptyWarmStore{}) {
+	if got.Name != "probe" || got.Metrics != reg || got.ConfidenceLevel != 0.9 ||
+		got.Models != models || got.WarmStart != (emptyWarmStore{}) {
 		t.Errorf("engine config lost an Obs knob: %+v", got)
 	}
 	if got.Rule.Name != "Ralloc" || got.WindowSize != 100 || got.FinishedRatio != 0.6 {

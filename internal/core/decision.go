@@ -17,7 +17,7 @@ import (
 // ring; the /sites/{name}/explain endpoint of internal/diag is its HTTP
 // face. Recording happens exclusively inside analysis passes under the
 // context mutex — the lock-free creation fast path never sees it — and
-// emits no events, so traces are byte-identical with recording on or off.
+// emits no events, so it leaves the trace untouched.
 // A record of a rule evaluation keeps the closed window's aggregate and
 // derives its per-candidate estimates only when read, so closing a window
 // costs what its decision costs.
@@ -83,7 +83,7 @@ type CandidateEstimate struct {
 }
 
 // DecisionRecord is one analysis pass at one site, as retained by the
-// per-context explain ring (Config.DecisionRing, Engine.Explain). Round
+// per-context explain ring (decisionRingSize, Engine.Explain). Round
 // follows the Transition convention: the 0-based monitoring round that was
 // in progress during the pass.
 type DecisionRecord struct {
@@ -144,20 +144,18 @@ func (o DecisionOutcome) waiting() bool {
 	return false
 }
 
-// decisionRing retains the last K decision records of one context. It is
-// guarded by the owning siteCore's mutex (analyze appends while holding it;
-// decisionRecords copies under it), so the ring itself is lock-free.
+// decisionRingSize is how many decision records each context retains for
+// Engine.Explain.
+const decisionRingSize = 16
+
+// decisionRing retains the last decisionRingSize decision records of one
+// context. It is guarded by the owning siteCore's mutex (analyze appends
+// while holding it; decisionRecords copies under it), so the ring itself is
+// lock-free.
 type decisionRing struct {
-	buf   []DecisionRecord
+	buf   [decisionRingSize]DecisionRecord
 	start int
 	n     int
-}
-
-func newDecisionRing(capacity int) *decisionRing {
-	if capacity < 1 {
-		return nil
-	}
-	return &decisionRing{buf: make([]DecisionRecord, capacity)}
 }
 
 // push appends a record. Consecutive records with the same waiting outcome
@@ -187,9 +185,6 @@ func (r *decisionRing) push(rec DecisionRecord) {
 // estimates of every rule evaluation derived (DecisionRecord.explain) under
 // the context's rule, adaptive size spread and transition threshold.
 func (r *decisionRing) records(rule Rule, adaptiveSpread float64, threshold int64) []DecisionRecord {
-	if r == nil {
-		return nil
-	}
 	out := make([]DecisionRecord, r.n)
 	for i := range out {
 		out[i] = r.buf[(r.start+i)%len(r.buf)]
@@ -199,9 +194,9 @@ func (r *decisionRing) records(rule Rule, adaptiveSpread float64, threshold int6
 }
 
 // lastOutcome returns the outcome of the newest record; empty when the ring
-// is empty or recording is disabled.
+// is empty.
 func (r *decisionRing) lastOutcome() DecisionOutcome {
-	if r == nil || r.n == 0 {
+	if r.n == 0 {
 		return ""
 	}
 	return r.buf[(r.start+r.n-1)%len(r.buf)].Outcome
@@ -236,9 +231,8 @@ func (e *Engine) SiteStatuses() []SiteStatus {
 
 // Explain returns the retained decision records of the named allocation
 // context, oldest first — the queryable form of "why did (or didn't) this
-// site switch". It returns nil for unknown sites and for engines with
-// decision recording disabled (Config.DecisionRing < 0). The returned slice
-// is a copy; records are immutable snapshots.
+// site switch". It returns nil for unknown sites. The returned slice is a
+// copy; records are immutable snapshots.
 func (e *Engine) Explain(site string) []DecisionRecord {
 	e.mu.Lock()
 	var target analyzable

@@ -178,20 +178,19 @@ func TestExplainCooldownRecordsFoldRepeats(t *testing.T) {
 }
 
 func TestExplainRingBound(t *testing.T) {
-	e := NewEngineManual(Config{
-		WindowSize: 10, FinishedRatio: 0.6, CooldownWindows: -1, DecisionRing: 4,
-	})
+	e := NewEngineManual(Config{WindowSize: 10, FinishedRatio: 0.6, CooldownWindows: -1})
 	defer e.Close()
 	ctx := NewListContext[int](e, WithName("explain:ring"))
-	for round := 0; round < 6; round++ {
+	for round := 0; round < decisionRingSize+2; round++ {
 		churnLists(ctx, 10, 10, 10)
 		e.AnalyzeNow() // each pass closes a held round: no dedup applies
 	}
 	recs := e.Explain("explain:ring")
-	if len(recs) != 4 {
-		t.Fatalf("ring kept %d records, want 4", len(recs))
+	if len(recs) != decisionRingSize {
+		t.Fatalf("ring kept %d records, want %d", len(recs), decisionRingSize)
 	}
-	// Oldest records were evicted: the survivors are rounds 2..5 in order.
+	// The two oldest records were evicted: the survivors are rounds 2 to
+	// decisionRingSize+1 in order.
 	for i, rec := range recs {
 		if rec.Round != i+2 {
 			t.Errorf("recs[%d].Round = %d, want %d", i, rec.Round, i+2)
@@ -200,19 +199,9 @@ func TestExplainRingBound(t *testing.T) {
 }
 
 func TestExplainDisabledAndUnknownSite(t *testing.T) {
-	e := NewEngineManual(Config{
-		WindowSize: 10, FinishedRatio: 0.6, CooldownWindows: -1, DecisionRing: -1,
-	})
+	e := NewEngineManual(Config{WindowSize: 10, FinishedRatio: 0.6, CooldownWindows: -1})
 	defer e.Close()
-	ctx := NewListContext[int](e, WithName("explain:off"))
-	churnLists(ctx, 10, 500, 500)
-	e.AnalyzeNow()
-	if len(e.Transitions()) == 0 {
-		t.Fatal("scenario did not switch; recording-off path untested")
-	}
-	if recs := e.Explain("explain:off"); recs != nil {
-		t.Errorf("Explain with DecisionRing=-1 returned %d records, want nil", len(recs))
-	}
+	NewListContext[int](e, WithName("explain:known"))
 	if recs := e.Explain("no-such-site"); recs != nil {
 		t.Errorf("Explain(unknown) returned %d records, want nil", len(recs))
 	}
@@ -236,8 +225,8 @@ func TestExplainWarmHoldRecord(t *testing.T) {
 	if rec.Variant != collections.HashArrayListID {
 		t.Errorf("warm-hold variant = %s, want the restored HashArrayList", rec.Variant)
 	}
-	if rec.Drift < 0 || rec.Drift > e.Config().DriftThreshold {
-		t.Errorf("warm-hold drift = %g, want within [0, %g]", rec.Drift, e.Config().DriftThreshold)
+	if rec.Drift < 0 || rec.Drift > driftThreshold {
+		t.Errorf("warm-hold drift = %g, want within [0, %g]", rec.Drift, driftThreshold)
 	}
 	if len(rec.Candidates) != 0 {
 		t.Errorf("warm-hold record carries %d candidate estimates, want 0 (no rule ran)", len(rec.Candidates))
@@ -296,33 +285,4 @@ func TestDecideExplainMatchesDecide(t *testing.T) {
 			t.Errorf("workload %+v: %d estimates, want %d", w, len(ests), len(cands))
 		}
 	}
-}
-
-// BenchmarkDecisionRecording guards the acceptance claim that decision
-// recording adds no fast-path overhead: creation cost with the default ring
-// must match creation with recording disabled, because records are written
-// only inside analysis passes.
-func BenchmarkDecisionRecording(b *testing.B) {
-	run := func(b *testing.B, ring int) {
-		e := NewEngineManual(Config{
-			WindowSize:      100,
-			Rule:            ImpossibleRule(),
-			CooldownWindows: -1,
-			DecisionRing:    ring,
-		})
-		defer e.Close()
-		ctx := NewListContext[int](e, WithName("bench:decision"))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			l := ctx.NewList()
-			l.Add(i)
-			l.Contains(i)
-			if i%100 == 99 {
-				e.AnalyzeNow()
-			}
-		}
-	}
-	b.Run("ring-default", func(b *testing.B) { run(b, 0) })
-	b.Run("ring-disabled", func(b *testing.B) { run(b, -1) })
 }

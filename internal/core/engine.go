@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -52,14 +51,6 @@ type Config struct {
 	// second) and with it the monitor overhead. Zero uses the default
 	// (3); negative disables the cooldown.
 	CooldownWindows float64
-	// AnalysisParallelism bounds the worker pool AnalyzeNow fans registered
-	// contexts over. Zero uses the default (GOMAXPROCS); 1 analyzes
-	// contexts sequentially in registration order, reproducing the
-	// single-threaded event ordering exactly (deterministic tests and
-	// traces); values above 1 let analysis latency stay flat as the
-	// context count grows, at the price of interleaved per-context event
-	// order. Negative values are clamped to 1 (reported as ConfigClamped).
-	AnalysisParallelism int
 	// AnalysisSpans, when true (and a Sink is attached), emits one
 	// obs.ContextAnalyzed span event per context per analysis pass, with
 	// the context's analyze duration. Off by default: span events are a
@@ -69,25 +60,11 @@ type Config struct {
 	// WarmStart, when non-nil, is consulted once per context registration:
 	// a stored decision for the context's (final) name restores its variant
 	// before the first collection is created, and the context skips rule
-	// evaluation while its observed workload stays within DriftThreshold of
+	// evaluation while its observed workload stays within driftThreshold of
 	// the stored profile (see warmstart.go). Nil — the default — reproduces
 	// the historical cold-start behavior exactly. The canonical
 	// implementation is the warm-start store of internal/tuner.
 	WarmStart WarmStarter
-	// DriftThreshold bounds how far a warm-started context's observed
-	// workload profile may drift from the persisted one (core.Drift) before
-	// the context sheds its warm state and resumes normal selection. Zero
-	// uses the default (0.5); negative values are clamped to 0 (any
-	// measurable drift re-opens selection) and reported as ConfigClamped.
-	DriftThreshold float64
-	// DecisionRing bounds the per-context ring of decision records served
-	// by Engine.Explain (and the diag /sites/{name}/explain endpoint): each
-	// analysis pass appends one record explaining what was decided or why
-	// nothing could be. Zero uses the default (16); negative disables
-	// recording entirely. Records live only in memory, are written only
-	// inside analysis passes (never on the creation fast path) and emit no
-	// events, so traces are identical with recording on or off.
-	DecisionRing int
 	// ConfidenceLevel, when in (0, 1), arms confidence-aware switching:
 	// model curves that carry prediction variance widen each candidate's
 	// accumulated cost into an interval at this level, and a switch fires
@@ -105,10 +82,12 @@ type Config struct {
 	// Sink, when non-nil, receives the structured framework events of
 	// package obs — the typed successor of the paper's "detailed log
 	// system for tracing framework events" (Section 4.4). Each event is
-	// delivered as it happens, on the goroutine that produced it (an
-	// analysis worker when AnalysisParallelism is above 1); keep sinks
-	// fast. With a nil Sink the event paths are skipped entirely and add
-	// no allocations.
+	// delivered as it happens, on the goroutine that produced it: the one
+	// running the analysis pass, or the caller of NewEngine, a context
+	// constructor, SetModels or Close. A background pass and those callers
+	// can overlap, so sinks may be called concurrently; keep them fast.
+	// With a nil Sink the event paths are skipped entirely and add no
+	// allocations.
 	Sink obs.Sink
 	// Metrics receives the engine's counters and histograms. Nil gets a
 	// private registry; pass a shared one to aggregate across engines.
@@ -151,16 +130,6 @@ func (c Config) withDefaults() (Config, []obs.ConfigClamped) {
 		clamps = append(clamps, obs.ConfigClamped{Field: "CooldownWindows", From: c.CooldownWindows, To: 0})
 		c.CooldownWindows = 0
 	}
-	if c.DriftThreshold == 0 {
-		c.DriftThreshold = 0.5
-	}
-	if c.DriftThreshold < 0 {
-		clamps = append(clamps, obs.ConfigClamped{Field: "DriftThreshold", From: c.DriftThreshold, To: 0})
-		c.DriftThreshold = 0
-	}
-	if c.DecisionRing == 0 {
-		c.DecisionRing = 16
-	}
 	if c.ConfidenceLevel < 0 {
 		clamps = append(clamps, obs.ConfigClamped{Field: "ConfidenceLevel", From: c.ConfidenceLevel, To: 0})
 		c.ConfidenceLevel = 0
@@ -168,13 +137,6 @@ func (c Config) withDefaults() (Config, []obs.ConfigClamped) {
 	if c.ConfidenceLevel >= 1 {
 		clamps = append(clamps, obs.ConfigClamped{Field: "ConfidenceLevel", From: c.ConfidenceLevel, To: 0.999})
 		c.ConfidenceLevel = 0.999
-	}
-	if c.AnalysisParallelism == 0 {
-		c.AnalysisParallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.AnalysisParallelism < 0 {
-		clamps = append(clamps, obs.ConfigClamped{Field: "AnalysisParallelism", From: float64(c.AnalysisParallelism), To: 1})
-		c.AnalysisParallelism = 1
 	}
 	return c, clamps
 }
@@ -205,8 +167,7 @@ type analyzable interface {
 	// the stored variant is not in the context's candidate pool.
 	warmStart(WarmDecision) bool
 	siteSnapshot() SiteSnapshot
-	// decisionRecords returns the context's explain ring, oldest first
-	// (nil when Config.DecisionRing disabled recording).
+	// decisionRecords returns the context's explain ring, oldest first.
 	decisionRecords() []DecisionRecord
 	// siteStatus is siteSnapshot plus the live window/cooldown counters and
 	// last decision outcome, captured under one lock for the diag server.
@@ -365,11 +326,9 @@ func (e *Engine) Close() {
 
 // AnalyzeNow runs one synchronous analysis pass over every registered
 // context. The background loop calls this on each tick. Passes are
-// serialized: concurrent callers queue rather than interleave. Within a
-// pass, contexts are fanned out over a worker pool bounded by
-// Config.AnalysisParallelism; with parallelism 1 they are analyzed
-// sequentially in registration order, so the emitted event stream is
-// byte-identical to the historical single-threaded engine.
+// serialized: concurrent callers queue rather than interleave. A pass
+// analyzes the contexts in registration order on the calling goroutine, so
+// its event stream is deterministic at any GOMAXPROCS.
 func (e *Engine) AnalyzeNow() {
 	e.analysisMu.Lock()
 	defer e.analysisMu.Unlock()
@@ -387,7 +346,9 @@ func (e *Engine) AnalyzeNow() {
 	// than smearing it over the application's call stacks; SelfOverheadNs
 	// accumulates the same wall time for the /metrics overhead fraction.
 	pprof.Do(context.Background(), pprof.Labels("collectionswitch", "analysis"), func(context.Context) {
-		e.analyzeAll(ctxs, round)
+		for _, c := range ctxs {
+			e.analyzeOne(c, round)
+		}
 	})
 	elapsed := time.Since(start)
 	e.metrics.AnalysisRounds.Add(1)
@@ -408,38 +369,6 @@ func (e *Engine) AnalyzeNow() {
 			Contexts:   stats,
 		})
 	}
-}
-
-// analyzeAll runs one analysis pass over ctxs, sequentially below two
-// workers and via a bounded work-stealing pool otherwise. Contexts are
-// claimed through an atomic cursor so the pool never allocates per context.
-func (e *Engine) analyzeAll(ctxs []analyzable, round int) {
-	workers := e.cfg.AnalysisParallelism
-	if workers > len(ctxs) {
-		workers = len(ctxs)
-	}
-	if workers <= 1 {
-		for _, c := range ctxs {
-			e.analyzeOne(c, round)
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(ctxs) {
-					return
-				}
-				e.analyzeOne(ctxs[i], round)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // analyzeOne analyzes a single context, wrapping it in a ContextAnalyzed
@@ -562,9 +491,8 @@ type windowClose struct {
 	// profile drift that justified the hold.
 	skipRule bool
 	drift    float64
-	// record asks for a DecisionRecord; modelGaps lists the candidates the
-	// aggregate had to exclude for missing model curves (explain data only).
-	record    bool
+	// modelGaps lists the candidates the aggregate had to exclude for
+	// missing model curves (explain data only).
 	modelGaps []collections.VariantID
 }
 
@@ -572,26 +500,24 @@ type windowClose struct {
 // selection rule over the folded aggregate, records any transition, and
 // emits the WindowClosed / CooldownEntered telemetry (WindowClosed reports
 // the round 1-based to match the legacy trace wording). It returns the
-// variant future instantiations should use plus, when wc.record is set, the
-// decision record explaining the outcome (the caller owns pushing it into
-// the context's ring under its lock).
+// variant future instantiations should use plus the decision record
+// explaining the outcome (the caller owns pushing it into the context's
+// ring under its lock). The record comes back by pointer: returned by value
+// it deepened the close's frames enough that a close after a collection,
+// which shrinks the goroutine's stack, had to grow the stack again, and
+// BenchmarkWindowClose ran 2.3 times slower.
 func (e *Engine) closeWindow(wc windowClose) (collections.VariantID, *DecisionRecord) {
 	current := wc.current
-	var rec *DecisionRecord
-	if wc.record {
-		rec = &DecisionRecord{
-			When:      time.Now(),
-			Round:     wc.round,
-			Variant:   wc.current,
-			ModelGaps: wc.modelGaps,
-			Folded:    wc.finished,
-		}
+	rec := &DecisionRecord{
+		When:      time.Now(),
+		Round:     wc.round,
+		Variant:   wc.current,
+		ModelGaps: wc.modelGaps,
+		Folded:    wc.finished,
 	}
 	if wc.skipRule {
-		if rec != nil {
-			rec.Outcome = OutcomeWarmHold
-			rec.Drift = wc.drift
-		}
+		rec.Outcome = OutcomeWarmHold
+		rec.Drift = wc.drift
 	} else {
 		e.metrics.RuleEvaluations.Add(1)
 		d, _, miss, missC1 := decideExplain(wc.agg, wc.current, e.cfg.Rule, e.cfg.AdaptiveSizeSpread, wc.threshold, false)
@@ -618,37 +544,35 @@ func (e *Engine) closeWindow(wc windowClose) (collections.VariantID, *DecisionRe
 				})
 			}
 		}
-		if rec != nil {
-			// The record keeps the closed aggregate, which nothing folds
-			// into again, and derives its candidate estimates when read.
-			rec.agg = wc.agg
-			thr1 := e.cfg.Rule.Criteria[0].Threshold
-			switch {
-			case d.ok:
-				rec.Outcome = OutcomeSwitched
-				rec.Winner = d.switchTo
-				rec.Margin = thr1 - d.ratios[0]
-			case d.suppressedTo != "":
-				rec.Outcome = OutcomeCIOverlap
-				rec.Winner = d.suppressedTo
-				rec.Margin = thr1 - d.suppressedC1
-			case wc.agg.folded == 0 || wc.agg.candidateIndex(wc.current) < 0:
-				// decideExplain bailed before ranking: the aggregate has no
-				// entry for the current variant (its model curves are
-				// missing) or nothing was folded.
+		// The record keeps the closed aggregate, which nothing folds into
+		// again, and derives its candidate estimates when read.
+		rec.agg = wc.agg
+		thr1 := e.cfg.Rule.Criteria[0].Threshold
+		switch {
+		case d.ok:
+			rec.Outcome = OutcomeSwitched
+			rec.Winner = d.switchTo
+			rec.Margin = thr1 - d.ratios[0]
+		case d.suppressedTo != "":
+			rec.Outcome = OutcomeCIOverlap
+			rec.Winner = d.suppressedTo
+			rec.Margin = thr1 - d.suppressedC1
+		case wc.agg.folded == 0 || wc.agg.candidateIndex(wc.current) < 0:
+			// decideExplain bailed before ranking: the aggregate has no
+			// entry for the current variant (its model curves are missing)
+			// or nothing was folded.
+			rec.Outcome = OutcomeModelMissing
+		case miss == "":
+			// Ranking ran but no alternative was considered at all.
+			if len(wc.modelGaps) > 0 {
 				rec.Outcome = OutcomeModelMissing
-			case miss == "":
-				// Ranking ran but no alternative was considered at all.
-				if len(wc.modelGaps) > 0 {
-					rec.Outcome = OutcomeModelMissing
-				} else {
-					rec.Outcome = OutcomeHeld
-				}
-			default:
+			} else {
 				rec.Outcome = OutcomeHeld
-				rec.Winner = miss
-				rec.Margin = thr1 - missC1
 			}
+		default:
+			rec.Outcome = OutcomeHeld
+			rec.Winner = miss
+			rec.Margin = thr1 - missC1
 		}
 	}
 	e.metrics.WindowsClosed.Add(1)

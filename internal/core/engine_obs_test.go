@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -365,12 +367,11 @@ func TestPassEventsReachSinkDuringPass(t *testing.T) {
 		}
 	})
 	e := NewEngineManual(Config{
-		WindowSize:          4,
-		FinishedRatio:       0.6,
-		Rule:                Rtime(),
-		CooldownWindows:     -1,
-		AnalysisParallelism: 1,
-		Sink:                obs.Multi(rec, probe),
+		WindowSize:      4,
+		FinishedRatio:   0.6,
+		Rule:            Rtime(),
+		CooldownWindows: -1,
+		Sink:            obs.Multi(rec, probe),
 	})
 	defer e.Close()
 	ctx := NewListContext[int](e, WithName("live:list"))
@@ -385,20 +386,18 @@ func TestPassEventsReachSinkDuringPass(t *testing.T) {
 }
 
 // runSeededPasses drives one seeded workload over nine list contexts
-// through four analysis passes at the given parallelism. It returns the
-// engine's whole event stream and the context names in registration order.
-func runSeededPasses(parallelism int) ([]obs.Event, []string) {
+// through four analysis passes, with a span per context per pass, into
+// sink. It returns the context names in registration order.
+func runSeededPasses(sink obs.Sink) []string {
 	const window = 8
-	col := obs.NewCollector()
 	e := NewEngineManual(Config{
-		WindowSize:          window,
-		FinishedRatio:       0.6,
-		Rule:                Rtime(),
-		CooldownWindows:     -1,
-		AnalysisParallelism: parallelism,
-		AnalysisSpans:       true,
-		Name:                "parallel",
-		Sink:                col,
+		WindowSize:      window,
+		FinishedRatio:   0.6,
+		Rule:            Rtime(),
+		CooldownWindows: -1,
+		AnalysisSpans:   true,
+		Name:            "seeded",
+		Sink:            sink,
 	})
 	ctxs := make([]*ListContext[int], 9)
 	names := make([]string, len(ctxs))
@@ -416,72 +415,106 @@ func runSeededPasses(parallelism int) ([]obs.Event, []string) {
 		e.AnalyzeNow()
 	}
 	e.Close()
-	return col.Events(), names
+	return names
 }
 
-// TestParallelPassDeliversEveryEvent pins event delivery when analysis
-// workers emit straight into the sink: at parallelism 1 and 2 every pass's
-// events lie between its RoundStarted and RoundCompleted, each context
-// whose round advanced in a pass reports exactly one WindowClosed in it,
-// both runs emit the same number of events of each kind, and at 1 the
-// contexts are analyzed in registration order.
+// TestParallelPassDeliversEveryEvent pins event delivery while a pass runs:
+// every pass's events lie between its RoundStarted and RoundCompleted, and
+// each context whose round advanced in a pass reports exactly one
+// WindowClosed in it.
 func TestParallelPassDeliversEveryEvent(t *testing.T) {
-	counts := map[int]map[obs.Kind]int{}
-	for _, par := range []int{1, 2} {
-		events, names := runSeededPasses(par)
-		kinds := map[obs.Kind]int{}
-		open := -1 // index of the running pass; -1 between passes
-		var inPass []obs.Event
-		rounds := map[string]int{} // context -> completed rounds at the last pass end
-		for _, ev := range events {
-			kinds[ev.EventKind()]++
-			switch m := ev.(type) {
-			case obs.RoundStarted:
-				if open >= 0 {
-					t.Fatalf("parallelism %d: RoundStarted %d inside pass %d", par, m.Round, open)
+	col := obs.NewCollector()
+	runSeededPasses(col)
+	open := -1                 // index of the running pass; -1 between passes
+	closes := map[string]int{} // context -> WindowClosed events in the running pass
+	rounds := map[string]int{} // context -> completed rounds at the last pass end
+	windows := 0
+	for _, ev := range col.Events() {
+		switch m := ev.(type) {
+		case obs.RoundStarted:
+			if open >= 0 {
+				t.Fatalf("RoundStarted %d inside pass %d", m.Round, open)
+			}
+			open = m.Round
+			clear(closes)
+		case obs.RoundCompleted:
+			if m.Round != open {
+				t.Fatalf("RoundCompleted %d closes pass %d", m.Round, open)
+			}
+			for _, st := range m.Contexts {
+				if want := st.Round - rounds[st.Context]; closes[st.Context] != want {
+					t.Errorf("pass %d: %s sent %d WindowClosed, want %d", open, st.Context, closes[st.Context], want)
 				}
-				open, inPass = m.Round, nil
-			case obs.RoundCompleted:
-				if m.Round != open {
-					t.Fatalf("parallelism %d: RoundCompleted %d closes pass %d", par, m.Round, open)
-				}
-				closes := map[string]int{}
-				var analyzed []string
-				for _, pe := range inPass {
-					switch x := pe.(type) {
-					case obs.WindowClosed:
-						closes[x.Context]++
-					case obs.ContextAnalyzed:
-						analyzed = append(analyzed, x.Context)
-					}
-				}
-				for _, st := range m.Contexts {
-					if want := st.Round - rounds[st.Context]; closes[st.Context] != want {
-						t.Errorf("parallelism %d, pass %d: %s sent %d WindowClosed, want %d",
-							par, open, st.Context, closes[st.Context], want)
-					}
-					rounds[st.Context] = st.Round
-				}
-				if len(analyzed) != len(names) {
-					t.Errorf("parallelism %d, pass %d: %d contexts analyzed, want %d", par, open, len(analyzed), len(names))
-				} else if par == 1 && fmt.Sprint(analyzed) != fmt.Sprint(names) {
-					t.Errorf("pass %d at parallelism 1 analyzed %v, want registration order %v", open, analyzed, names)
-				}
-				open = -1
-			case obs.WindowClosed, obs.Transition, obs.CooldownEntered, obs.ContextAnalyzed:
-				if open < 0 {
-					t.Errorf("parallelism %d: %s outside any pass", par, ev.EventKind())
-				}
-				inPass = append(inPass, ev)
+				rounds[st.Context] = st.Round
+			}
+			open = -1
+		case obs.WindowClosed, obs.Transition, obs.CooldownEntered, obs.ContextAnalyzed:
+			if open < 0 {
+				t.Errorf("%s outside any pass", ev.EventKind())
+			}
+			if wc, ok := m.(obs.WindowClosed); ok {
+				closes[wc.Context]++
+				windows++
 			}
 		}
-		if kinds[obs.KindWindowClosed] == 0 || kinds[obs.KindRoundCompleted] == 0 {
-			t.Fatalf("parallelism %d: workload closed no window: %v", par, kinds)
-		}
-		counts[par] = kinds
 	}
-	if fmt.Sprint(counts[1]) != fmt.Sprint(counts[2]) {
-		t.Errorf("per-kind event counts differ:\n parallelism 1: %v\n parallelism 2: %v", counts[1], counts[2])
+	if windows == 0 {
+		t.Fatal("workload closed no window")
+	}
+}
+
+// goroutineID returns the calling goroutine's number, read from the header
+// line runtime.Stack writes ("goroutine 7 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	n := runtime.Stack(buf[:], false)
+	return strings.Fields(string(buf[:n]))[1]
+}
+
+// TestPassDeliversEventsInRegistrationOrder pins that a pass analyzes its
+// contexts one after another on the goroutine that called AnalyzeNow, with
+// two CPUs available: each pass delivers, from that goroutine, every
+// context's WindowClosed (if it closed a window) and then its
+// ContextAnalyzed, context by context in registration order.
+func TestPassDeliversEventsInRegistrationOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	caller := goroutineID()
+	var foreign atomic.Int64
+	col := obs.NewCollector()
+	names := runSeededPasses(obs.Multi(col, sinkFunc(func(ev obs.Event) {
+		if goroutineID() != caller {
+			foreign.Add(1)
+		}
+	})))
+	if n := foreign.Load(); n > 0 {
+		t.Errorf("%d events came from a goroutine other than AnalyzeNow's caller", n)
+	}
+	index := make(map[string]int, len(names))
+	for i, name := range names {
+		index[name] = i
+	}
+	pass, next := -1, 0 // next: registration index of the context analyzed next
+	for _, ev := range col.Events() {
+		switch m := ev.(type) {
+		case obs.RoundStarted:
+			pass, next = m.Round, 0
+		case obs.WindowClosed:
+			if index[m.Context] != next {
+				t.Errorf("pass %d: WindowClosed of context %d arrived while context %d was analyzed", pass, index[m.Context], next)
+			}
+		case obs.ContextAnalyzed:
+			if index[m.Context] != next {
+				t.Errorf("pass %d: context %d analyzed in place %d", pass, index[m.Context], next)
+			}
+			next++
+		case obs.RoundCompleted:
+			if next != len(names) {
+				t.Errorf("pass %d analyzed %d contexts, want %d", pass, next, len(names))
+			}
+		}
+	}
+	if pass < 0 {
+		t.Fatal("no pass ran")
 	}
 }
 

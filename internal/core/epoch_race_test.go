@@ -25,7 +25,6 @@ func TestEpochDrainingNoLostOps(t *testing.T) {
 		FinishedRatio:   1,
 		CooldownWindows: -1, // every creation is eligible to be monitored
 		Rule:            ImpossibleRule(),
-		DecisionRing:    -1,
 	})
 	defer e.Close()
 	ctx := NewListContext[int](e, WithName("race:epoch-drain"))

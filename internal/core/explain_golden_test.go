@@ -40,7 +40,6 @@ func explainGoldenRun(t *testing.T, cfg Config, seed int64) map[string][]Decisio
 	cfg.WindowSize = 10
 	cfg.FinishedRatio = 0.6
 	cfg.CooldownWindows = 1
-	cfg.AnalysisParallelism = 1
 	e := NewEngineManual(cfg)
 	defer e.Close()
 	rng := rand.New(rand.NewSource(seed))
@@ -126,8 +125,8 @@ func explainGoldenModels() *perfmodel.Models {
 
 // TestExplainMatchesParentGolden pins the Explain output — every decision
 // record, candidate estimate, ratio, reason and margin — of three seeded
-// manual engines at analysis parallelism 1 to a golden file: Rtime and
-// Ralloc on point estimates, and Rtime confidence-armed at 0.95. Any change
+// manual engines to a golden file: Rtime and Ralloc on point estimates, and
+// Rtime confidence-armed at 0.95. Any change
 // to how or when explanations are built must leave these bytes alone. On a
 // mismatch the test writes this tree's output to a temporary file and names
 // it; copy that over the golden only for an intended change to explain

@@ -156,10 +156,10 @@ type siteCore[C any, M any] struct {
 	mu    sync.Mutex
 	agg   *costAgg
 	round int
-	// ring is the bounded decision-record history served by Engine.Explain;
-	// nil when Config.DecisionRing disabled recording. Written only by
-	// analyze (under mu), so the creation fast path never touches it.
-	ring *decisionRing
+	// ring is the bounded decision-record history served by Engine.Explain.
+	// Written only by analyze (under mu), so the creation fast path never
+	// touches it.
+	ring decisionRing
 
 	// candidates is the factory-filtered candidate pool. The per-window
 	// aggregate ranks the subset the active models fully cover (priced,
@@ -178,7 +178,7 @@ type siteCore[C any, M any] struct {
 	winProf  WorkloadProfile
 	siteProf WorkloadProfile
 	// warm marks a context restored from a WarmStarter: rule evaluation is
-	// skipped while the observed window profile stays within DriftThreshold
+	// skipped while the observed window profile stays within driftThreshold
 	// of warmProf (the profile the persisted decision was made under).
 	warm     bool
 	warmProf WorkloadProfile
@@ -195,7 +195,6 @@ func (c *siteCore[C, M]) init(e *Engine, o ctxOptions, abstraction string, facto
 	c.wrap = wrap
 	c.threshold = threshold
 	c.candidates = filterKnown(o.candidates, factories)
-	c.ring = newDecisionRing(e.cfg.DecisionRing)
 	c.agg = c.buildAgg()
 	c.win.Store(newEpochWin[M](e.cfg.WindowSize))
 	c.cur.Store(&curVariant[C]{id: o.defaultVar, factory: factories[o.defaultVar]})
@@ -271,9 +270,9 @@ func (c *siteCore[C, M]) newCollection() C {
 // creation bounces to an unmonitored instance and republishes the gate. A
 // creator racing an epoch advance can land its record in the *new* epoch
 // while the gate still reads as cooldown — a benign oversample by one (the
-// record simply joins the next round's window); at AnalysisParallelism 1
-// with single-threaded creation the race cannot occur, which is what keeps
-// the Table 6 trace byte-identical.
+// record simply joins the next round's window); with single-threaded
+// creation the race cannot occur, which is what keeps the Table 6 trace
+// byte-identical.
 func (c *siteCore[C, M]) newMonitored() C {
 	inner := c.cur.Load().factory(0)
 	rec := new(siteRecord[M])
@@ -374,31 +373,26 @@ func (c *siteCore[C, M]) analyze() {
 	// Waiting passes record *why* no decision could fire; consecutive
 	// identical reasons are folded by the ring (Repeats), so a site idling
 	// in a long cooldown does not flush its decision history.
-	recording := c.ring != nil
 	if len(recs) < c.e.cfg.WindowSize {
-		if recording {
-			if s := c.state.Load(); s > 0 {
-				c.ring.push(DecisionRecord{
-					When: time.Now(), Round: c.round, Variant: c.cur.Load().id,
-					Outcome: OutcomeCooldown, Cooldown: int(s),
-				})
-			} else {
-				c.ring.push(DecisionRecord{
-					When: time.Now(), Round: c.round, Variant: c.cur.Load().id,
-					Outcome: OutcomeWindowFilling, WindowFill: len(recs), Folded: c.agg.folded,
-				})
-			}
+		if s := c.state.Load(); s > 0 {
+			c.ring.push(DecisionRecord{
+				When: time.Now(), Round: c.round, Variant: c.cur.Load().id,
+				Outcome: OutcomeCooldown, Cooldown: int(s),
+			})
+		} else {
+			c.ring.push(DecisionRecord{
+				When: time.Now(), Round: c.round, Variant: c.cur.Load().id,
+				Outcome: OutcomeWindowFilling, WindowFill: len(recs), Folded: c.agg.folded,
+			})
 		}
 		return
 	}
 	if c.agg.folded < neededFolds(c.e.cfg) {
-		if recording {
-			c.ring.push(DecisionRecord{
-				When: time.Now(), Round: c.round, Variant: c.cur.Load().id,
-				Outcome: OutcomeAwaitingFinished, WindowFill: len(recs),
-				Folded: c.agg.folded, NeededFolds: neededFolds(c.e.cfg),
-			})
-		}
+		c.ring.push(DecisionRecord{
+			When: time.Now(), Round: c.round, Variant: c.cur.Load().id,
+			Outcome: OutcomeAwaitingFinished, WindowFill: len(recs),
+			Folded: c.agg.folded, NeededFolds: neededFolds(c.e.cfg),
+		})
 		return
 	}
 	// Decision time: use the whole set of metrics, including instances
@@ -415,14 +409,14 @@ func (c *siteCore[C, M]) analyze() {
 		}
 	}
 	// A warm-started context holds its restored variant without evaluating
-	// the rule — until the window's observed profile drifts past the
-	// configured threshold from the profile the persisted decision was made
-	// under. Crossing it sheds the warm state permanently: from this window
-	// on the context selects like any cold one.
+	// the rule — until the window's observed profile drifts past
+	// driftThreshold from the profile the persisted decision was made under.
+	// Crossing it sheds the warm state permanently: from this window on the
+	// context selects like any cold one.
 	skipRule := false
 	var warmDrift float64
 	if c.warm {
-		if drift := Drift(c.warmProf, c.winProf); drift <= c.e.cfg.DriftThreshold {
+		if drift := Drift(c.warmProf, c.winProf); drift <= driftThreshold {
 			skipRule = true
 			warmDrift = drift
 		} else {
@@ -433,26 +427,19 @@ func (c *siteCore[C, M]) analyze() {
 					Engine:    c.e.cfg.Name,
 					Context:   c.name,
 					Drift:     drift,
-					Threshold: c.e.cfg.DriftThreshold,
+					Threshold: driftThreshold,
 				})
 			}
 		}
 	}
 	cooldown := int(c.e.cfg.CooldownWindows * float64(c.e.cfg.WindowSize))
 	cur := c.cur.Load()
-	var gaps []collections.VariantID
-	if recording {
-		gaps = c.modelGaps()
-	}
 	next, rec := c.e.closeWindow(windowClose{
 		name: c.name, agg: c.agg, current: cur.id, round: c.round,
 		threshold: c.threshold, finished: finished, cooldown: cooldown,
-		skipRule: skipRule, drift: warmDrift,
-		record: recording, modelGaps: gaps,
+		skipRule: skipRule, drift: warmDrift, modelGaps: c.modelGaps(),
 	})
-	if rec != nil {
-		c.ring.push(*rec)
-	}
+	c.ring.push(*rec)
 	if next != cur.id {
 		c.cur.Store(&curVariant[C]{id: next, factory: c.factories[next]})
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -320,35 +319,4 @@ func BenchmarkNewListBaseline(b *testing.B) {
 			_ = collections.NewArrayListCap[int](0)
 		}
 	})
-}
-
-// BenchmarkAnalyzeNowParallelism measures one analysis pass over many
-// contexts at parallelism 1 vs GOMAXPROCS — the scaling claim behind
-// Config.AnalysisParallelism.
-func BenchmarkAnalyzeNowParallelism(b *testing.B) {
-	workerCounts := []int{1, runtime.GOMAXPROCS(0)}
-	if workerCounts[1] == 1 {
-		workerCounts = workerCounts[:1] // single-CPU host: nothing to compare
-	}
-	for _, workers := range workerCounts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e := NewEngineManual(Config{
-				WindowSize:          10,
-				Rule:                Rtime(),
-				CooldownWindows:     -1,
-				AnalysisParallelism: workers,
-			})
-			defer e.Close()
-			for i := 0; i < 32; i++ {
-				ctx := NewListContext[int](e, WithName(fmt.Sprintf("bench:%d", i)))
-				for j := 0; j < 10; j++ {
-					ctx.NewList().Add(j)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.AnalyzeNow()
-			}
-		})
-	}
 }

@@ -14,8 +14,12 @@ import (
 // the persisted decision still describes the workload the site actually
 // observes. While it does, rule evaluation is skipped (no transitions, no
 // rule-evaluation counters); once the observed profile drifts past
-// Config.DriftThreshold the site sheds its warm state and resumes normal
-// selection.
+// driftThreshold the site sheds its warm state and resumes normal selection.
+
+// driftThreshold bounds how far a warm-started context's observed window
+// profile may drift from the persisted one (Drift) before the context sheds
+// its warm state.
+const driftThreshold = 0.5
 
 // WorkloadProfile is the aggregated workload shape of an allocation site:
 // operation totals, instance count, and the size statistics of the monitored
@@ -54,9 +58,9 @@ func (p WorkloadProfile) ops() float64 {
 // mixes (0 = identical mix, 1 = disjoint operations) and the size drift
 // |log2(meanA/meanB)|/4 (a 16× mean-size change scores 1). Profiles with no
 // observed instances cannot contradict anything and drift 0; a profile that
-// performs operations drifts 1 from one that performs none. The default
-// threshold (Config.DriftThreshold = 0.5) tolerates moderate mix shifts and
-// up to a 4× size change before a warm site re-opens selection.
+// performs operations drifts 1 from one that performs none. The engine's
+// threshold (driftThreshold, 0.5) tolerates moderate mix shifts and up to a
+// 4× size change before a warm site re-opens selection.
 func Drift(a, b WorkloadProfile) float64 {
 	if a.Instances == 0 || b.Instances == 0 {
 		return 0

@@ -7,15 +7,11 @@ import (
 )
 
 // closeSite is a set context over the whole set catalog (at least eight
-// candidates) on a manual Rtime engine with decision recording on, no sink
-// and no cooldown, so every full window of finished instances closes at the
-// next pass.
+// candidates) on a manual Rtime engine with no sink and no cooldown, so every
+// full window of finished instances closes at the next pass.
 func closeSite(tb testing.TB) (*Engine, *SetContext[int]) {
 	tb.Helper()
-	e := NewEngineManual(Config{
-		WindowSize: 10, FinishedRatio: 0.6, Rule: Rtime(),
-		CooldownWindows: -1, AnalysisParallelism: 1,
-	})
+	e := NewEngineManual(Config{WindowSize: 10, FinishedRatio: 0.6, Rule: Rtime(), CooldownWindows: -1})
 	ctx := NewSetContext[int](e, WithName("close:set"))
 	if n := len(ctx.core.candidates); n < 8 {
 		tb.Fatalf("set context has %d candidates, want at least 8", n)
@@ -106,9 +102,9 @@ func TestCurvesResolvedOncePerModelSet(t *testing.T) {
 	}
 }
 
-// BenchmarkWindowClose measures one window close at a set context with
-// decision recording on and no sink: the rule evaluation, the decision
-// record and the advance to the next window. Nine of the window's ten
+// BenchmarkWindowClose measures one window close at a set context with no
+// sink: the rule evaluation, the decision record and the advance to the next
+// window. Nine of the window's ten
 // instances are folded before the timer starts; the timed pass folds the
 // tenth, still alive, at decision time and closes the window.
 func BenchmarkWindowClose(b *testing.B) {

@@ -257,23 +257,18 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// First engine knowing the site wins; engines are searched in attach
-	// order. A site that exists but has recording disabled returns an empty
-	// record list rather than 404.
+	// order. A site with no analysis pass yet returns an empty record list.
 	for _, e := range s.snapshot() {
 		for _, st := range e.SiteStatuses() {
 			if st.Name != name {
 				continue
-			}
-			recs := e.Explain(name)
-			if recs == nil {
-				recs = []core.DecisionRecord{}
 			}
 			writeJSON(w, map[string]any{
 				"site":    name,
 				"engine":  e.Config().Name,
 				"closed":  e.Closed(),
 				"variant": st.Variant,
-				"records": recs,
+				"records": e.Explain(name),
 			})
 			return
 		}

@@ -29,16 +29,15 @@ func normalizeTrace(raw []byte) [][]byte {
 }
 
 // TestTable6TraceMatchesSeedFixture is the refactor's non-negotiable
-// invariant in executable form: the Table 5/6 sweep at analysis parallelism
-// 1 must produce a JSONL trace byte-identical — modulo timestamps — to the
-// fixture captured before the sharded-profile/epoch-window/batched-emission
-// refactor. Any change to what is monitored, folded, decided or emitted
-// shows up as a diverging line. The fixture was generated with
+// invariant in executable form: the Table 5/6 sweep must produce a JSONL
+// trace byte-identical — modulo timestamps — to the fixture captured before
+// the sharded-profile/epoch-window/batched-emission refactor. Any change to
+// what is monitored, folded, decided or emitted shows up as a diverging
+// line. The fixture was generated at the pre-refactor HEAD; when a
+// deliberate behavior change is introduced, regenerate it (and justify the
+// diff) with
 //
-//	go run ./cmd/experiments -exp table6 -quick -parallel 1 -trace <fixture>
-//
-// at the pre-refactor HEAD; regenerate it the same way (and justify the diff)
-// when a deliberate behavior change is introduced.
+//	go run ./cmd/experiments -exp table6 -quick -trace <fixture>
 func TestTable6TraceMatchesSeedFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 5 measurement is slow")
@@ -50,7 +49,7 @@ func TestTable6TraceMatchesSeedFixture(t *testing.T) {
 
 	var trace bytes.Buffer
 	sink := obs.NewJSONLSink(&trace)
-	RunTable5(QuickScale(), apps.Obs{Sink: sink, Metrics: obs.NewRegistry(), Parallelism: 1})
+	RunTable5(QuickScale(), apps.Obs{Sink: sink, Metrics: obs.NewRegistry()})
 	if err := sink.Flush(); err != nil {
 		t.Fatalf("flushing trace: %v", err)
 	}

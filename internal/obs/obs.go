@@ -187,9 +187,8 @@ func (e RoundCompleted) Logline() (string, []any) {
 // analyze step took inside engine pass Round (0-based, matching
 // RoundStarted/RoundCompleted). Emitted only for engines configured with
 // AnalysisSpans — it adds one event per context per pass, so it is opt-in
-// debugging telemetry rather than part of the default trace. With
-// AnalysisParallelism > 1, spans from one pass arrive in completion order,
-// not registration order.
+// debugging telemetry rather than part of the default trace. Spans from one
+// pass arrive in registration order.
 type ContextAnalyzed struct {
 	Engine     string `json:"engine,omitempty"`
 	Round      int    `json:"round"`

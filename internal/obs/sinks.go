@@ -92,8 +92,8 @@ func CountingSink(r *Registry) Sink {
 // is rendered through its Logline formatting. The events of the original
 // printf trace log render byte-identically, so pre-existing log scrapers
 // keep working. The sink adds no locking: fn may be called concurrently
-// (parallel analysis workers emit directly), so it must be safe for
-// concurrent use, as log.Printf and testing.T.Logf are.
+// (an engine's background pass and its other callers can emit at once), so
+// it must be safe for concurrent use, as log.Printf and testing.T.Logf are.
 type LogfSink struct {
 	fn func(format string, args ...any)
 }

@@ -75,9 +75,6 @@ type Config struct {
 	// MaxKeysPerShard caps live keys per shard per store, evicting FIFO
 	// (default 512; <0 disables eviction — selection will starve).
 	MaxKeysPerShard int
-	// KVBucketShift groups map keys into buckets of 2^shift consecutive
-	// keys, one engine-managed map per bucket (default 10).
-	KVBucketShift uint
 	// StoreDir, when non-"", opens a tuner warm-start store there: the
 	// engine warm-starts from persisted decisions and Shutdown records
 	// final site snapshots back.
@@ -122,9 +119,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.MaxKeysPerShard == 0 {
 		cfg.MaxKeysPerShard = 512
-	}
-	if cfg.KVBucketShift == 0 {
-		cfg.KVBucketShift = 10
 	}
 	if cfg.Engine.Name == "" {
 		cfg.Engine.Name = "collserve"
@@ -506,9 +500,13 @@ func (s *Service) handleSetDrop(w http.ResponseWriter, r *http.Request) {
 	replyBool(w, s.sets.remove(key))
 }
 
-// kvBucket groups 2^shift consecutive int keys into one engine-managed map.
-func (s *Service) kvBucket(k int64) string {
-	return strconv.FormatInt(k>>s.cfg.KVBucketShift, 36)
+// kvBucketShift groups map keys into buckets of 2^kvBucketShift consecutive
+// keys, one engine-managed map per bucket.
+const kvBucketShift = 10
+
+// kvBucket names the bucket of key k.
+func kvBucket(k int64) string {
+	return strconv.FormatInt(k>>kvBucketShift, 36)
 }
 
 // handleKV serves /kv/put and /kv/get over the bucketed int→int map store.
@@ -527,7 +525,7 @@ func (s *Service) handleKV(op workload.ServiceOp) http.HandlerFunc {
 			}
 		}
 		s.ops[op].Add(1)
-		bucket := s.kvBucket(k)
+		bucket := kvBucket(k)
 		if op == workload.OpKVPut {
 			var had bool
 			s.kv.write(bucket, func() collections.Map[int64, int64] { return s.kvCtx.NewMap() },
