@@ -5,68 +5,19 @@ import (
 	"strings"
 )
 
+// edit is one line of an edit script: kept (' '), deleted ('-') or
+// inserted ('+').
+type edit struct {
+	op   byte
+	text string
+}
+
 // unifiedDiff renders a unified diff (3 context lines) between a and b,
-// labeled aName/bName. Empty when the inputs are equal. The edit script
-// follows a dynamic-programming LCS table, filled only between the common
-// prefix and suffix: a rewrite that changes a few lines of a long file
-// fills a few cells, not one per pair of lines.
+// labeled aName/bName. Empty when the inputs are equal.
 func unifiedDiff(aName, bName string, a, b []byte) string {
-	al := splitLines(a)
-	bl := splitLines(b)
-	n, m := len(al), len(bl)
-	pre := 0
-	for pre < n && pre < m && al[pre] == bl[pre] {
-		pre++
-	}
-	if pre == n && pre == m {
+	edits := editScript(splitLines(a), splitLines(b))
+	if edits == nil {
 		return ""
-	}
-	suf := 0
-	for suf < n-pre && suf < m-pre && al[n-1-suf] == bl[m-1-suf] {
-		suf++
-	}
-
-	// lcs(i, j) is the LCS length of al[i:] and bl[j:], for i, j >= pre.
-	// Once either index reaches the common suffix, one tail is a tail of
-	// that suffix and the other ends with it, so the shorter tail is the
-	// LCS; the table holds the rest.
-	rows, cols := n-suf-pre, m-suf-pre
-	table := make([]int, rows*cols)
-	lcs := func(i, j int) int {
-		if i >= n-suf || j >= m-suf {
-			return min(n-i, m-j)
-		}
-		return table[(i-pre)*cols+j-pre]
-	}
-	for i := n - suf - 1; i >= pre; i-- {
-		for j := m - suf - 1; j >= pre; j-- {
-			v := lcs(i+1, j+1) + 1
-			if al[i] != bl[j] {
-				v = max(lcs(i+1, j), lcs(i, j+1))
-			}
-			table[(i-pre)*cols+j-pre] = v
-		}
-	}
-
-	// Walk the table into an edit script.
-	type edit struct {
-		op   byte // ' ', '-', '+'
-		text string
-	}
-	edits := make([]edit, 0, n+m-pre-lcs(pre, pre))
-	for i, j := 0, 0; i < n || j < m; {
-		switch {
-		case i < n && j < m && al[i] == bl[j]:
-			edits = append(edits, edit{' ', al[i]})
-			i++
-			j++
-		case i < n && (j == m || lcs(i+1, j) >= lcs(i, j+1)):
-			edits = append(edits, edit{'-', al[i]})
-			i++
-		default:
-			edits = append(edits, edit{'+', bl[j]})
-			j++
-		}
 	}
 
 	// Group into hunks with up to 3 context lines on each side.
@@ -156,4 +107,74 @@ func splitLines(b []byte) []string {
 		return nil
 	}
 	return strings.Split(s, "\n")
+}
+
+// editScript returns the edit script from al to bl, or nil when they are
+// equal. It walks forward keeping a line both sides start with, else
+// deleting al's line when that keeps the script shortest, else inserting
+// bl's: the walk over a table of LCS lengths, without the table. The walk
+// only asks how far a position is from the end, which Myers' O(ND) search
+// run backwards from the end answers. Time is O((n+m)·D) and memory O(D²)
+// for D deleted and inserted lines, where the table takes O(n·m) of both; a
+// rewrite that touches a few lines of a long file stays small.
+func editScript(al, bl []string) []edit {
+	n, m := len(al), len(bl)
+	// Position (i, j) lies x = n-i lines of al and y = m-j lines of bl
+	// before the end, on diagonal k = x-y. far[d][(k+d)/2] is the largest x
+	// that d deletions and insertions reach on diagonal k from the end: the
+	// positions on that diagonal within d edits of the end are those with x
+	// up to it.
+	var far [][]int
+	for done := false; !done; {
+		d := len(far)
+		v := make([]int, d+1)
+		for c := range v {
+			k := 2*c - d
+			x := 0
+			switch {
+			case d == 0:
+			case c == 0: // k == -d: an insertion from diagonal k+1
+				x = far[d-1][0]
+			case c == d: // k == d: a deletion from diagonal k-1
+				x = far[d-1][d-1] + 1
+			default:
+				x = max(far[d-1][c-1]+1, far[d-1][c])
+			}
+			y := x - k
+			for x < n && y < m && al[n-1-x] == bl[m-1-y] {
+				x, y = x+1, y+1
+			}
+			v[c] = x
+			done = done || x >= n && y >= m
+		}
+		far = append(far, v)
+	}
+	d := len(far) - 1 // edits from (0, 0) to the end
+	if d == 0 {
+		return nil
+	}
+	within := func(i, j, d int) bool {
+		x, y := n-i, m-j
+		k := x - y
+		return -d <= k && k <= d && x <= far[d][(k+d)/2]
+	}
+
+	edits := make([]edit, 0, (n+m+d)/2)
+	for i, j := 0, 0; i < n || j < m; {
+		switch {
+		case i < n && j < m && al[i] == bl[j]:
+			edits = append(edits, edit{' ', al[i]})
+			i++
+			j++
+		case i < n && (j == m || within(i+1, j, d-1)):
+			edits = append(edits, edit{'-', al[i]})
+			i++
+			d--
+		default:
+			edits = append(edits, edit{'+', bl[j]})
+			j++
+			d--
+		}
+	}
+	return edits
 }

@@ -21,8 +21,8 @@
 //
 // Every file is rewritten in memory before any is delivered: as unified
 // diffs on stdout, into a mirror tree with -o DIR, or in place with -w. If a
-// file fails to read, parse or rewrite, the run fails listing every failure
-// and writes nothing.
+// file fails to read, parse or rewrite, or -o would mirror it outside DIR,
+// the run fails listing every failure and writes nothing.
 package main
 
 import (
@@ -35,7 +35,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -269,6 +268,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if f.out, f.sites = out, len(rres.Sites); f.sites > 0 {
 			rewritten += f.sites
 			patched++
+			if *outDir != "" && !filepath.IsAbs(f.path) && !filepath.IsLocal(f.path) {
+				failures = append(failures, fmt.Errorf("-o cannot mirror %s, which climbs out of the working directory; name it by absolute path", f.path))
+			}
 		}
 	}
 	if len(failures) > 0 {
@@ -345,21 +347,24 @@ func reportSkipped(w io.Writer, skipped []rewrite.SkippedSite) {
 }
 
 // resolveSources expands file, dir and dir/... arguments into a sorted list
-// of non-test .go files, each listed once however often and however it is
-// named: an argument inside the working directory is made relative to it,
-// any other absolute.
+// of non-test .go files. A file is named as its argument names it, except
+// that an argument inside the working directory is made relative to it; a
+// file named two ways is listed once, under the name that sorts first.
 func resolveSources(srcs []string) ([]string, error) {
 	wd, err := os.Getwd()
 	if err != nil {
 		return nil, err
 	}
+	abs := func(path string) string {
+		if filepath.IsAbs(path) {
+			return path
+		}
+		return filepath.Join(wd, path)
+	}
 	var files []string
 	for _, arg := range srcs {
-		arg, err := filepath.Abs(strings.TrimSuffix(arg, "/..."))
-		if err != nil {
-			return nil, err
-		}
-		if rel, err := filepath.Rel(wd, arg); err == nil && filepath.IsLocal(rel) {
+		arg = filepath.Clean(strings.TrimSuffix(arg, "/..."))
+		if rel, err := filepath.Rel(wd, abs(arg)); err == nil && filepath.IsLocal(rel) {
 			arg = rel
 		}
 		info, err := os.Stat(arg)
@@ -384,7 +389,15 @@ func resolveSources(srcs []string) ([]string, error) {
 		}
 	}
 	sort.Strings(files)
-	return slices.Compact(files), nil
+	seen := make(map[string]bool, len(files))
+	kept := files[:0]
+	for _, f := range files {
+		if key := abs(f); !seen[key] {
+			seen[key] = true
+			kept = append(kept, f)
+		}
+	}
+	return kept, nil
 }
 
 // candidatePool returns the default candidate variants of one abstraction in

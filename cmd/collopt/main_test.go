@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -191,26 +194,109 @@ func TestUnifiedDiff(t *testing.T) {
 	}
 }
 
-// TestUnifiedDiffLongFileAllocatesLittle: one changed line in a 4000-line
-// file gives one hunk and allocates under 1 MB; an LCS table over every
-// pair of lines would take about 128 MB.
+// TestUnifiedDiffLongFileAllocatesLittle: diffing a 4000-line file with one
+// changed line, and a Go file of 4001 lines with the adaptive rewrite of its
+// one site, allocates under 1 MB; an LCS table over every pair of lines would
+// take about 128 MB for either. The rewrite inserts an import near the top
+// and appends its contexts at the end, so the two files share no suffix.
 func TestUnifiedDiffLongFileAllocatesLittle(t *testing.T) {
-	var sb strings.Builder
+	var numbers, goFile strings.Builder
 	for i := 1; i <= 4000; i++ {
-		fmt.Fprintf(&sb, "%d\n", i)
+		fmt.Fprintf(&numbers, "%d\n", i)
 	}
-	a := []byte(sb.String())
-	b := []byte(strings.Replace(sb.String(), "\n2000\n", "\nX\n", 1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	got := unifiedDiff("a", "b", a, b)
-	runtime.ReadMemStats(&after)
-	want := "--- a\n+++ b\n@@ -1997,7 +1997,7 @@\n 1997\n 1998\n 1999\n-2000\n+X\n 2001\n 2002\n 2003\n"
-	if got != want {
-		t.Errorf("diff:\n%s\nwant:\n%s", got, want)
+	goFile.WriteString(twoSites)
+	for i := 0; strings.Count(goFile.String(), "\n") < 4000; i++ {
+		fmt.Fprintf(&goFile, "\nfunc f%d() int { return %d }\n", i, i)
 	}
-	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
-		t.Errorf("diffing 4000 lines allocated %d bytes, want under 1 MB", n)
+	rewritten, res, err := rewrite.NewRewriter().Rewrite([]byte(goFile.String()), "long.go", rewrite.Config{DefaultsOnly: true})
+	if err != nil || len(res.Sites) != 1 {
+		t.Fatalf("Rewrite = %d sites, %v; want 1", len(res.Sites), err)
+	}
+	for _, tc := range []struct {
+		name   string
+		a, b   []byte
+		hunks  []string
+		suffix string
+	}{
+		{"one changed line", []byte(numbers.String()), []byte(strings.Replace(numbers.String(), "\n2000\n", "\nX\n", 1)),
+			[]string{"@@ -1997,7 +1997,7 @@"}, " 1997\n 1998\n 1999\n-2000\n+X\n 2001\n 2002\n 2003\n"},
+		{"adaptive rewrite", []byte(goFile.String()), rewritten,
+			[]string{"@@ -1,9 +1,10 @@", "@@ -3999,3 +4000,12 @@"}, "+\t\tcore.WithDefaultVariant(\"list/array\"))\n+)\n"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := unifiedDiff("a", "b", tc.a, tc.b)
+		runtime.ReadMemStats(&after)
+		var hunks []string
+		for _, l := range strings.Split(got, "\n") {
+			if strings.HasPrefix(l, "@@ ") {
+				hunks = append(hunks, l)
+			}
+		}
+		if !slices.Equal(hunks, tc.hunks) || !strings.HasSuffix(got, tc.suffix) {
+			t.Errorf("%s: hunks %q, want %q, ending in %q:\n%s", tc.name, hunks, tc.hunks, tc.suffix, got)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: diffing %d lines allocated %d bytes, want under 1 MB", tc.name, bytes.Count(tc.a, []byte("\n")), n)
+		}
+	}
+}
+
+// TestEditScriptMatchesLCSTableWalk: on random short inputs over a few
+// distinct lines, where many edit scripts are equally short, editScript
+// picks the one the walk over a full LCS table picks.
+func TestEditScriptMatchesLCSTableWalk(t *testing.T) {
+	// tableWalk keeps a shared line, else deletes when the LCS of the rest
+	// stays as long, else inserts.
+	tableWalk := func(al, bl []string) []edit {
+		n, m := len(al), len(bl)
+		lcs := make([][]int, n+1)
+		for i := range lcs {
+			lcs[i] = make([]int, m+1)
+		}
+		for i := n - 1; i >= 0; i-- {
+			for j := m - 1; j >= 0; j-- {
+				if al[i] == bl[j] {
+					lcs[i][j] = lcs[i+1][j+1] + 1
+				} else {
+					lcs[i][j] = max(lcs[i+1][j], lcs[i][j+1])
+				}
+			}
+		}
+		var edits []edit
+		for i, j := 0, 0; i < n || j < m; {
+			switch {
+			case i < n && j < m && al[i] == bl[j]:
+				edits = append(edits, edit{' ', al[i]})
+				i, j = i+1, j+1
+			case i < n && (j == m || lcs[i+1][j] >= lcs[i][j+1]):
+				edits = append(edits, edit{'-', al[i]})
+				i++
+			default:
+				edits = append(edits, edit{'+', bl[j]})
+				j++
+			}
+		}
+		return edits
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	lines := func(distinct int) []string {
+		s := make([]string, r.IntN(13))
+		for i := range s {
+			s[i] = strconv.Itoa(r.IntN(distinct))
+		}
+		return s
+	}
+	for range 20000 {
+		distinct := 1 + r.IntN(4)
+		al, bl := lines(distinct), lines(distinct)
+		want := tableWalk(al, bl)
+		if slices.Equal(al, bl) {
+			want = nil
+		}
+		if got := editScript(al, bl); !slices.Equal(got, want) {
+			t.Fatalf("editScript(%q, %q) = %q, want %q", al, bl, got, want)
+		}
 	}
 }
 
@@ -266,5 +352,60 @@ func TestSourcesNamedTwoWaysScanOnce(t *testing.T) {
 		if !strings.HasPrefix(l, "examples/optdemo/workload.go:") {
 			t.Errorf("site listed as %q, want it relative to the working directory", l)
 		}
+	}
+}
+
+// TestSourceOutsideWorkingDirectory: a tree outside the working directory
+// keeps the name its argument gives it, relative or absolute, in listings
+// and in the context names the rewrite generates; named both ways it is
+// scanned once. -o refuses to mirror it through a path that climbs out of
+// the output directory, and writes nothing.
+func TestSourceOutsideWorkingDirectory(t *testing.T) {
+	inTree(t, map[string]string{"other/a.go": twoSites, "work/keep.txt": ""})
+	t.Chdir("work")
+	other, err := filepath.Abs("../other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		name string
+	}{
+		{[]string{"../other"}, "../other/a.go"},
+		{[]string{other + "/..."}, other + "/a.go"},
+		{[]string{other, "../other/..."}, "../other/a.go"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(append([]string{"-list"}, tc.args...), &stdout, &stderr); err != nil {
+			t.Fatalf("run -list %v: %v\n%s", tc.args, err, stderr.String())
+		}
+		want := tc.name + ":6:7: collections.NewArrayList[int]() (list[int] -> list/array)\n" +
+			tc.name + ":7:7: collections.NewLinkedList[int]() (list[int] -> list/linked)\n"
+		if stdout.String() != want {
+			t.Errorf("-list %v printed:\n%s\nwant:\n%s", tc.args, stdout.String(), want)
+		}
+	}
+
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"../other"}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\n%s", err, stderr.String())
+	}
+	if !strings.HasPrefix(stdout.String(), "--- a/../other/a.go\n+++ b/../other/a.go\n") ||
+		!strings.Contains(stdout.String(), `core.WithName("../other/a.go:6")`) {
+		t.Errorf("diff does not name the file ../other/a.go:\n%s", stdout.String())
+	}
+
+	stdout.Reset()
+	err = run([]string{"-o", "out", "../other"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "nothing written") || !strings.Contains(err.Error(), "../other/a.go") {
+		t.Fatalf("run -o out ../other = %v, want a failure naming ../other/a.go", err)
+	}
+	for _, name := range []string{"out", "other"} { // out/../other/a.go is other/a.go
+		if _, err := os.Stat(name); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s exists after a rejected run (stat: %v)", name, err)
+		}
+	}
+	if stdout.Len() != 0 || readFile(t, "../other/a.go") != twoSites {
+		t.Error("a rejected run printed a diff or changed the source")
 	}
 }
