@@ -100,23 +100,15 @@ func unifiedDiff(aName, bName string, a, b []byte) string {
 	return sb.String()
 }
 
-func splitLines(b []byte) []string {
-	s := string(b)
-	s = strings.TrimSuffix(s, "\n")
-	if s == "" {
-		return nil
-	}
-	return strings.Split(s, "\n")
-}
-
 // editScript returns the edit script from al to bl, or nil when they are
 // equal. It walks forward keeping a line both sides start with, else
 // deleting al's line when that keeps the script shortest, else inserting
 // bl's: the walk over a table of LCS lengths, without the table. The walk
 // only asks how far a position is from the end, which Myers' O(ND) search
-// run backwards from the end answers. Time is O((n+m)·D) and memory O(D²)
-// for D deleted and inserted lines, where the table takes O(n·m) of both; a
-// rewrite that touches a few lines of a long file stays small.
+// run backwards from the end answers. For D deleted and inserted lines the
+// search takes O((n+m)·D) time and O(D²) memory, where the table takes
+// O(n·m) of both: a rewrite that touches a few lines of a long file stays
+// small, and only files with next to nothing in common cost as much.
 func editScript(al, bl []string) []edit {
 	n, m := len(al), len(bl)
 	// Position (i, j) lies x = n-i lines of al and y = m-j lines of bl
@@ -149,8 +141,8 @@ func editScript(al, bl []string) []edit {
 		}
 		far = append(far, v)
 	}
-	d := len(far) - 1 // edits from (0, 0) to the end
-	if d == 0 {
+	left := len(far) - 1 // edits from (0, 0) to the end
+	if left == 0 {
 		return nil
 	}
 	within := func(i, j, d int) bool {
@@ -159,22 +151,31 @@ func editScript(al, bl []string) []edit {
 		return -d <= k && k <= d && x <= far[d][(k+d)/2]
 	}
 
-	edits := make([]edit, 0, (n+m+d)/2)
+	edits := make([]edit, 0, (n+m+left)/2)
 	for i, j := 0, 0; i < n || j < m; {
 		switch {
 		case i < n && j < m && al[i] == bl[j]:
 			edits = append(edits, edit{' ', al[i]})
 			i++
 			j++
-		case i < n && (j == m || within(i+1, j, d-1)):
+		case i < n && (j == m || within(i+1, j, left-1)):
 			edits = append(edits, edit{'-', al[i]})
 			i++
-			d--
+			left--
 		default:
 			edits = append(edits, edit{'+', bl[j]})
 			j++
-			d--
+			left--
 		}
 	}
 	return edits
+}
+
+func splitLines(b []byte) []string {
+	s := string(b)
+	s = strings.TrimSuffix(s, "\n")
+	if s == "" {
+		return nil
+	}
+	return strings.Split(s, "\n")
 }
