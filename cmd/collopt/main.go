@@ -21,8 +21,9 @@
 //
 // Every file is rewritten in memory before any is delivered: as unified
 // diffs on stdout, into a mirror tree with -o DIR, or in place with -w. If a
-// file fails to read, parse or rewrite, or -o would mirror it outside DIR,
-// the run fails listing every failure and writes nothing.
+// file fails to read, parse or rewrite, -o would mirror it outside DIR, or a
+// diff would name it outside the working directory (where patch -p1 cannot
+// find it), the run fails listing every failure and writes nothing.
 package main
 
 import (
@@ -268,8 +269,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if f.out, f.sites = out, len(rres.Sites); f.sites > 0 {
 			rewritten += f.sites
 			patched++
-			if *outDir != "" && !filepath.IsAbs(f.path) && !filepath.IsLocal(f.path) {
+			switch {
+			case filepath.IsLocal(f.path) || *write: // deliverable as named
+			case *outDir != "" && !filepath.IsAbs(f.path):
 				failures = append(failures, fmt.Errorf("-o cannot mirror %s, which climbs out of the working directory; name it by absolute path", f.path))
+			case *outDir == "":
+				failures = append(failures, fmt.Errorf("a diff cannot name %s so that patch -p1 applies it, as it is outside the working directory; run from a directory that holds it, or use -o or -w", f.path))
 			}
 		}
 	}

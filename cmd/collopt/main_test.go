@@ -386,16 +386,19 @@ func TestSourceOutsideWorkingDirectory(t *testing.T) {
 		}
 	}
 
+	// A diff header a/../other/a.go or a//abs/other/a.go does not apply
+	// with patch -p1, so the diff is refused before anything is printed.
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"../other"}, &stdout, &stderr); err != nil {
-		t.Fatalf("run: %v\n%s", err, stderr.String())
-	}
-	if !strings.HasPrefix(stdout.String(), "--- a/../other/a.go\n+++ b/../other/a.go\n") ||
-		!strings.Contains(stdout.String(), `core.WithName("../other/a.go:6")`) {
-		t.Errorf("diff does not name the file ../other/a.go:\n%s", stdout.String())
+	for _, tc := range []struct{ arg, name string }{{"../other", "../other/a.go"}, {other, other + "/a.go"}} {
+		err := run([]string{tc.arg}, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "nothing written") || !strings.Contains(err.Error(), "a diff cannot name "+tc.name) {
+			t.Fatalf("run %s = %v, want a failure naming %s", tc.arg, err, tc.name)
+		}
+		if stdout.Len() != 0 {
+			t.Fatalf("a refused diff printed:\n%s", stdout.String())
+		}
 	}
 
-	stdout.Reset()
 	err = run([]string{"-o", "out", "../other"}, &stdout, &stderr)
 	if err == nil || !strings.Contains(err.Error(), "nothing written") || !strings.Contains(err.Error(), "../other/a.go") {
 		t.Fatalf("run -o out ../other = %v, want a failure naming ../other/a.go", err)
@@ -407,5 +410,13 @@ func TestSourceOutsideWorkingDirectory(t *testing.T) {
 	}
 	if stdout.Len() != 0 || readFile(t, "../other/a.go") != twoSites {
 		t.Error("a rejected run printed a diff or changed the source")
+	}
+
+	// In place, the sites keep the name the argument spells.
+	if err := run([]string{"-w", "../other"}, &stdout, &stderr); err != nil {
+		t.Fatalf("run -w ../other: %v\n%s", err, stderr.String())
+	}
+	if !strings.Contains(readFile(t, "../other/a.go"), `core.WithName("../other/a.go:6")`) {
+		t.Errorf("-w ../other does not name the site ../other/a.go:6:\n%s", readFile(t, "../other/a.go"))
 	}
 }

@@ -69,14 +69,7 @@ func (l *ArrayList[T]) Remove(v T) bool {
 func (l *ArrayList[T]) Contains(v T) bool { return l.IndexOf(v) >= 0 }
 
 // IndexOf returns the index of the first occurrence of v, or -1.
-func (l *ArrayList[T]) IndexOf(v T) int {
-	for i, e := range l.elems {
-		if e == v {
-			return i
-		}
-	}
-	return -1
-}
+func (l *ArrayList[T]) IndexOf(v T) int { return indexOf(l.elems, v) }
 
 // Len returns the number of elements.
 func (l *ArrayList[T]) Len() int { return len(l.elems) }

@@ -24,18 +24,9 @@ func NewArrayMapCap[K comparable, V any](capHint int) *ArrayMap[K, V] {
 	}
 }
 
-func (m *ArrayMap[K, V]) indexOf(k K) int {
-	for i, key := range m.keys {
-		if key == k {
-			return i
-		}
-	}
-	return -1
-}
-
 // Put associates k with v, returning the previous value if present.
 func (m *ArrayMap[K, V]) Put(k K, v V) (V, bool) {
-	if i := m.indexOf(k); i >= 0 {
+	if i := indexOf(m.keys, k); i >= 0 {
 		old := m.vals[i]
 		m.vals[i] = v
 		return old, true
@@ -48,7 +39,7 @@ func (m *ArrayMap[K, V]) Put(k K, v V) (V, bool) {
 
 // Get returns the value for k and whether it was present.
 func (m *ArrayMap[K, V]) Get(k K) (V, bool) {
-	if i := m.indexOf(k); i >= 0 {
+	if i := indexOf(m.keys, k); i >= 0 {
 		return m.vals[i], true
 	}
 	var zero V
@@ -57,7 +48,7 @@ func (m *ArrayMap[K, V]) Get(k K) (V, bool) {
 
 // Remove deletes the entry for k, preserving insertion order.
 func (m *ArrayMap[K, V]) Remove(k K) (V, bool) {
-	i := m.indexOf(k)
+	i := indexOf(m.keys, k)
 	var zero V
 	if i < 0 {
 		return zero, false
@@ -75,7 +66,7 @@ func (m *ArrayMap[K, V]) Remove(k K) (V, bool) {
 }
 
 // ContainsKey reports whether k has an entry (linear scan).
-func (m *ArrayMap[K, V]) ContainsKey(k K) bool { return m.indexOf(k) >= 0 }
+func (m *ArrayMap[K, V]) ContainsKey(k K) bool { return indexOf(m.keys, k) >= 0 }
 
 // Len returns the number of entries.
 func (m *ArrayMap[K, V]) Len() int { return len(m.keys) }

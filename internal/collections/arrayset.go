@@ -34,27 +34,19 @@ func (s *ArraySet[T]) Add(v T) bool {
 // Remove deletes v, reporting whether the set changed. Order is preserved
 // (matching the reference Java implementations, which shift).
 func (s *ArraySet[T]) Remove(v T) bool {
-	for i, e := range s.elems {
-		if e == v {
-			copy(s.elems[i:], s.elems[i+1:])
-			var zero T
-			s.elems[len(s.elems)-1] = zero
-			s.elems = s.elems[:len(s.elems)-1]
-			return true
-		}
+	i := indexOf(s.elems, v)
+	if i < 0 {
+		return false
 	}
-	return false
+	copy(s.elems[i:], s.elems[i+1:])
+	var zero T
+	s.elems[len(s.elems)-1] = zero
+	s.elems = s.elems[:len(s.elems)-1]
+	return true
 }
 
 // Contains reports whether v is in the set (linear scan).
-func (s *ArraySet[T]) Contains(v T) bool {
-	for _, e := range s.elems {
-		if e == v {
-			return true
-		}
-	}
-	return false
-}
+func (s *ArraySet[T]) Contains(v T) bool { return indexOf(s.elems, v) >= 0 }
 
 // Len returns the number of elements.
 func (s *ArraySet[T]) Len() int { return len(s.elems) }

@@ -79,16 +79,12 @@ func (l *HashArrayList[T]) RemoveAt(i int) T {
 // membership question first, but a present element still requires the linear
 // scan to locate its position — the double cost the paper calls out.
 func (l *HashArrayList[T]) Remove(v T) bool {
-	if _, ok := l.bag[v]; !ok {
+	i := l.IndexOf(v)
+	if i < 0 {
 		return false
 	}
-	for i, e := range l.elems {
-		if e == v {
-			l.RemoveAt(i)
-			return true
-		}
-	}
-	return false
+	l.RemoveAt(i)
+	return true
 }
 
 // Contains reports whether v occurs in the list via the hash bag (O(1)).
@@ -103,12 +99,7 @@ func (l *HashArrayList[T]) IndexOf(v T) int {
 	if _, ok := l.bag[v]; !ok {
 		return -1
 	}
-	for i, e := range l.elems {
-		if e == v {
-			return i
-		}
-	}
-	return -1
+	return indexOf(l.elems, v)
 }
 
 // Len returns the number of elements.

@@ -54,6 +54,33 @@ func engineHook(e *core.Engine) func() {
 	}
 }
 
+// interleave measures one point: it runs the CollectionSwitch factory sw
+// and the fixed-variant factory base through the single-phase runner run in
+// chunks of every instances, alternating which side goes first, and sums
+// each side's chunks, so load from other processes that comes and goes
+// during the point falls on both sides alike. Both sides end a chunk with
+// the same forced collection (the fixed side's hook is runtime.GC alone), so
+// the CollectionSwitch side pays only its analysis on top.
+func interleave[C any](run func(func() C, int, int, int, int64, int, func()) (workload.Result, int),
+	sw, base func() C, hook func(), instances, size, lookups, every int) (swRes, baseRes workload.Result) {
+	if every <= 0 {
+		every = instances
+	}
+	for done, chunk := 0, 0; done < instances; done, chunk = done+every, chunk+1 {
+		n := min(every, instances-done)
+		for k := range 2 {
+			newC, tick, sum := sw, hook, &swRes
+			if (k+chunk)%2 == 1 {
+				newC, tick, sum = base, runtime.GC, &baseRes
+			}
+			r, _ := run(newC, n, size, lookups, int64(size), every, tick)
+			sum.Elapsed += r.Elapsed
+			sum.AllocBytes += r.AllocBytes
+		}
+	}
+	return swRes, baseRes
+}
+
 // RunFig5 measures all five panels at the given scale, with o configuring
 // every engine. The sweep measures selection from the declared default, so
 // the warm-start store is left out.
@@ -89,10 +116,9 @@ func fig5List(rule core.Rule, size, instances, lookups, every int, o apps.Obs) F
 	e := newFig5Engine(rule, fmt.Sprintf("fig5a@%d", size), o)
 	defer e.Close()
 	ctx := core.NewListContext[int](e, core.WithName(fmt.Sprintf("fig5a@%d", size)))
-	swRes, _ := workload.SinglePhaseList(ctx.NewList, instances, size, lookups, int64(size), every, engineHook(e))
-	baseRes, _ := workload.SinglePhaseList(func() collections.List[int] {
+	swRes, baseRes := interleave(workload.SinglePhaseList, ctx.NewList, func() collections.List[int] {
 		return collections.NewArrayList[int]()
-	}, instances, size, lookups, int64(size), 0, nil)
+	}, engineHook(e), instances, size, lookups, every)
 	p := Fig5Point{
 		Size:          size,
 		SwitchTime:    swRes.Elapsed.Seconds(),
@@ -110,10 +136,9 @@ func fig5Set(rule core.Rule, size, instances, lookups, every int, o apps.Obs) Fi
 	e := newFig5Engine(rule, fmt.Sprintf("fig5set@%d", size), o)
 	defer e.Close()
 	ctx := core.NewSetContext[int](e, core.WithName(fmt.Sprintf("fig5set@%d", size)))
-	swRes, _ := workload.SinglePhaseSet(ctx.NewSet, instances, size, lookups, int64(size), every, engineHook(e))
-	baseRes, _ := workload.SinglePhaseSet(func() collections.Set[int] {
+	swRes, baseRes := interleave(workload.SinglePhaseSet, ctx.NewSet, func() collections.Set[int] {
 		return collections.NewHashSet[int]()
-	}, instances, size, lookups, int64(size), 0, nil)
+	}, engineHook(e), instances, size, lookups, every)
 	p := Fig5Point{
 		Size:          size,
 		SwitchTime:    swRes.Elapsed.Seconds(),
@@ -131,10 +156,9 @@ func fig5Map(rule core.Rule, size, instances, lookups, every int, o apps.Obs) Fi
 	e := newFig5Engine(rule, fmt.Sprintf("fig5map@%d", size), o)
 	defer e.Close()
 	ctx := core.NewMapContext[int, int](e, core.WithName(fmt.Sprintf("fig5map@%d", size)))
-	swRes, _ := workload.SinglePhaseMap(ctx.NewMap, instances, size, lookups, int64(size), every, engineHook(e))
-	baseRes, _ := workload.SinglePhaseMap(func() collections.Map[int, int] {
+	swRes, baseRes := interleave(workload.SinglePhaseMap, ctx.NewMap, func() collections.Map[int, int] {
 		return collections.NewHashMap[int, int]()
-	}, instances, size, lookups, int64(size), 0, nil)
+	}, engineHook(e), instances, size, lookups, every)
 	p := Fig5Point{
 		Size:          size,
 		SwitchTime:    swRes.Elapsed.Seconds(),

@@ -97,9 +97,9 @@ type Service struct {
 	kvCtx    *core.MapContext[int64, int64]
 	rangeCtx *core.SetContext[int64]
 
-	sets   *keyedShards[collections.Set[int64]]
-	kv     *keyedShards[collections.Map[int64, int64]]
-	ranges *keyedShards[collections.Set[int64]]
+	sets   *keyedShards[string, collections.Set[int64]]
+	kv     *keyedShards[int64, collections.Map[int64, int64]]
+	ranges *keyedShards[string, collections.Set[int64]]
 
 	ops      [workload.NumServiceOps]atomic.Int64
 	badReqs  atomic.Int64
@@ -159,9 +159,9 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 
-	s.sets = newKeyedShards[collections.Set[int64]](cfg.Shards, cfg.MaxKeysPerShard)
-	s.kv = newKeyedShards[collections.Map[int64, int64]](cfg.Shards, cfg.MaxKeysPerShard)
-	s.ranges = newKeyedShards[collections.Set[int64]](cfg.Shards, cfg.MaxKeysPerShard)
+	s.sets = newKeyedShards[string, collections.Set[int64]](cfg.Shards, cfg.MaxKeysPerShard)
+	s.kv = newKeyedShards[int64, collections.Map[int64, int64]](cfg.Shards, cfg.MaxKeysPerShard)
+	s.ranges = newKeyedShards[string, collections.Set[int64]](cfg.Shards, cfg.MaxKeysPerShard)
 
 	s.diagSrv = diag.New(s.reg, s.rec)
 	if s.cfg.Timeouts == (diag.Timeouts{}) {
@@ -501,13 +501,9 @@ func (s *Service) handleSetDrop(w http.ResponseWriter, r *http.Request) {
 }
 
 // kvBucketShift groups map keys into buckets of 2^kvBucketShift consecutive
-// keys, one engine-managed map per bucket.
+// keys, one engine-managed map per bucket, keyed by the bucket number
+// k>>kvBucketShift.
 const kvBucketShift = 10
-
-// kvBucket names the bucket of key k.
-func kvBucket(k int64) string {
-	return strconv.FormatInt(k>>kvBucketShift, 36)
-}
 
 // handleKV serves /kv/put and /kv/get over the bucketed int→int map store.
 func (s *Service) handleKV(op workload.ServiceOp) http.HandlerFunc {
@@ -525,7 +521,7 @@ func (s *Service) handleKV(op workload.ServiceOp) http.HandlerFunc {
 			}
 		}
 		s.ops[op].Add(1)
-		bucket := kvBucket(k)
+		bucket := k >> kvBucketShift
 		if op == workload.OpKVPut {
 			var had bool
 			s.kv.write(bucket, func() collections.Map[int64, int64] { return s.kvCtx.NewMap() },

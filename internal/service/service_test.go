@@ -383,7 +383,7 @@ func TestUnknownFixedModeRejected(t *testing.T) {
 // TestStoreEviction pins the churn mechanism selection depends on: past the
 // per-shard cap, the oldest keys die.
 func TestStoreEviction(t *testing.T) {
-	ks := newKeyedShards[int](1, 4)
+	ks := newKeyedShards[string, int](1, 4)
 	for i := 0; i < 10; i++ {
 		ks.write(fmt.Sprintf("k%d", i), func() int { return i }, nil)
 	}

@@ -22,41 +22,41 @@ var storeSeed = maphash.MakeSeed()
 // goroutine-safe for mutation, so mutating ops run under the shard's write
 // lock and read-only ops under its read lock (monitor profile counters are
 // atomic, so concurrent readers are safe).
-type keyedShards[C any] struct {
+type keyedShards[K comparable, C any] struct {
 	max     int // per-shard key cap; <=0 disables eviction
 	evicted atomic.Int64
 	created atomic.Int64
-	shards  []keyedShard[C]
+	shards  []keyedShard[K, C]
 }
 
-type keyedShard[C any] struct {
+type keyedShard[K comparable, C any] struct {
 	mu    sync.RWMutex
-	m     map[string]C
-	order []string // insertion order; may contain keys already removed
+	m     map[K]C
+	order []K // insertion order; may contain keys already removed
 }
 
-func newKeyedShards[C any](shards, maxPerShard int) *keyedShards[C] {
+func newKeyedShards[K comparable, C any](shards, maxPerShard int) *keyedShards[K, C] {
 	if shards < 1 {
 		shards = 1
 	}
-	k := &keyedShards[C]{max: maxPerShard, shards: make([]keyedShard[C], shards)}
+	k := &keyedShards[K, C]{max: maxPerShard, shards: make([]keyedShard[K, C], shards)}
 	for i := range k.shards {
-		k.shards[i].m = make(map[string]C)
+		k.shards[i].m = make(map[K]C)
 	}
 	return k
 }
 
-func (k *keyedShards[C]) shard(key string) *keyedShard[C] {
+func (k *keyedShards[K, C]) shard(key K) *keyedShard[K, C] {
 	if len(k.shards) == 1 {
 		return &k.shards[0]
 	}
-	h := maphash.String(storeSeed, key)
+	h := maphash.Comparable(storeSeed, key)
 	return &k.shards[h%uint64(len(k.shards))]
 }
 
 // read runs fn on the collection under key while holding the shard read
 // lock; fn must not mutate. It reports whether the key existed.
-func (k *keyedShards[C]) read(key string, fn func(C)) bool {
+func (k *keyedShards[K, C]) read(key K, fn func(C)) bool {
 	sh := k.shard(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -70,7 +70,7 @@ func (k *keyedShards[C]) read(key string, fn func(C)) bool {
 // write runs fn on the collection under key while holding the shard write
 // lock, creating the collection via create when the key is new (and evicting
 // the shard's oldest keys past the cap).
-func (k *keyedShards[C]) write(key string, create func() C, fn func(C)) {
+func (k *keyedShards[K, C]) write(key K, create func() C, fn func(C)) {
 	sh := k.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -97,7 +97,7 @@ func (k *keyedShards[C]) write(key string, create func() C, fn func(C)) {
 // remove drops the whole key, reporting whether it existed. The dropped
 // collection becomes unreachable — exactly the churn the monitoring windows
 // feed on.
-func (k *keyedShards[C]) remove(key string) bool {
+func (k *keyedShards[K, C]) remove(key K) bool {
 	sh := k.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -109,7 +109,7 @@ func (k *keyedShards[C]) remove(key string) bool {
 }
 
 // keys returns the current number of live keys across all shards.
-func (k *keyedShards[C]) keys() int {
+func (k *keyedShards[K, C]) keys() int {
 	n := 0
 	for i := range k.shards {
 		sh := &k.shards[i]
