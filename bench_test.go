@@ -217,18 +217,6 @@ func BenchmarkAblationFinishedRatio(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAdaptiveGating compares the size-spread gate (Section
-// 3.2) against admitting adaptive candidates unconditionally.
-func BenchmarkAblationAdaptiveGating(b *testing.B) {
-	for _, spread := range []float64{1, 4, 1e9} { // off, paper-like, never
-		b.Run(ratioName(spread), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ablationRun(core.Config{AdaptiveSizeSpread: spread, Rule: core.Rtime()}, 2000)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationModelDegree compares selection under the paper's cubic
 // fits against degraded linear fits of the same analytic curves.
 func BenchmarkAblationModelDegree(b *testing.B) {

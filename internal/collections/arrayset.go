@@ -6,6 +6,10 @@ package collections
 // of elements, lookups competitive with (often faster than) the hash sets
 // thanks to locality; above that its O(n) scan loses badly. This narrow
 // best-case is exactly why the paper's adaptive variants start from it.
+//
+// It keeps its own slice instead of wrapping ArrayMap[T, struct{}]: each
+// append to a []struct{} goes through runtime.growslice (3-4 ns), and an
+// array set built on ArrayMap populated 14-44% slower at 4-16 elements.
 type ArraySet[T comparable] struct {
 	elems []T
 }

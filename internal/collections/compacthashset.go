@@ -4,6 +4,11 @@ package collections
 // packed element storage indexed by an open-addressed int32 table. Empty
 // slots cost 4 bytes rather than an element slot, giving the smallest
 // footprint of the indexed sets at the price of an extra indirection.
+//
+// Unlike OpenHashSet it keeps its own table instead of wrapping its map
+// twin: CompactHashMap appends every value to a dense []V, and each append
+// to a []struct{} goes through runtime.growslice (3-4 ns). Built on
+// CompactHashMap[T, struct{}], the set populated 500 elements 6-10% slower.
 type CompactHashSet[T comparable] struct {
 	h     hasher[T]
 	index []int32

@@ -53,6 +53,14 @@ func NewOpenHashMap[K comparable, V any]() *OpenHashMap[K, V] {
 // NewOpenHashMapPreset returns an empty map with the given preset, pre-sized
 // for capHint entries.
 func NewOpenHashMapPreset[K comparable, V any](p OpenHashPreset, capHint int) *OpenHashMap[K, V] {
+	m := new(OpenHashMap[K, V])
+	m.init(p, capHint)
+	return m
+}
+
+// init builds an empty table in place, so that OpenHashSet can hold its map
+// by value without a second allocation.
+func (m *OpenHashMap[K, V]) init(p OpenHashPreset, capHint int) {
 	c := openHashMinCap
 	if capHint > 0 {
 		c = nextPow2(capHint*p.LoadDen/p.LoadNum + 1)
@@ -60,7 +68,7 @@ func NewOpenHashMapPreset[K comparable, V any](p OpenHashPreset, capHint int) *O
 			c = openHashMinCap
 		}
 	}
-	return &OpenHashMap[K, V]{
+	*m = OpenHashMap[K, V]{
 		h:      newHasher[K](),
 		keys:   make([]K, c),
 		vals:   make([]V, c),

@@ -1,16 +1,13 @@
 package collections
 
 // OpenHashSet is an open-addressing (linear probing, tombstone deletion)
-// hash set storing elements in a flat array — the analogue of the Koloboke /
-// Eclipse / fastutil open-hash sets. See OpenHashPreset for the three
-// memory/speed configurations.
+// hash set — the analogue of the Koloboke / Eclipse / fastutil open-hash
+// sets. As the JDK's HashSet is a HashMap without values, it is an
+// OpenHashMap[T, struct{}], held by value so that a set allocates no more
+// than its table. See OpenHashPreset for the three memory/speed
+// configurations.
 type OpenHashSet[T comparable] struct {
-	h      hasher[T]
-	elems  []T
-	state  []uint8
-	size   int
-	used   int
-	preset OpenHashPreset
+	m OpenHashMap[T, struct{}]
 }
 
 // NewOpenHashSet returns an empty set with the balanced preset.
@@ -21,133 +18,43 @@ func NewOpenHashSet[T comparable]() *OpenHashSet[T] {
 // NewOpenHashSetPreset returns an empty set with the given preset, pre-sized
 // for capHint elements.
 func NewOpenHashSetPreset[T comparable](p OpenHashPreset, capHint int) *OpenHashSet[T] {
-	c := openHashMinCap
-	if capHint > 0 {
-		c = nextPow2(capHint*p.LoadDen/p.LoadNum + 1)
-		if c < openHashMinCap {
-			c = openHashMinCap
-		}
-	}
-	return &OpenHashSet[T]{
-		h:      newHasher[T](),
-		elems:  make([]T, c),
-		state:  make([]uint8, c),
-		preset: p,
-	}
+	s := new(OpenHashSet[T])
+	s.m.init(p, capHint)
+	return s
 }
 
 // Preset returns the preset this set was built with.
-func (s *OpenHashSet[T]) Preset() OpenHashPreset { return s.preset }
-
-func (s *OpenHashSet[T]) slotOf(v T, hash uint64) (found, insert int) {
-	mask := uint64(len(s.elems) - 1)
-	i := hash & mask
-	insert = -1
-	for {
-		switch s.state[i] {
-		case slotEmpty:
-			if insert < 0 {
-				insert = int(i)
-			}
-			return -1, insert
-		case slotDeleted:
-			if insert < 0 {
-				insert = int(i)
-			}
-		case slotFull:
-			if s.elems[i] == v {
-				return int(i), int(i)
-			}
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func (s *OpenHashSet[T]) rehash(newCap int) {
-	oldElems, oldState := s.elems, s.state
-	s.elems = make([]T, newCap)
-	s.state = make([]uint8, newCap)
-	s.used = s.size
-	mask := uint64(newCap - 1)
-	for i, st := range oldState {
-		if st != slotFull {
-			continue
-		}
-		j := s.h.hash(oldElems[i]) & mask
-		for s.state[j] == slotFull {
-			j = (j + 1) & mask
-		}
-		s.elems[j] = oldElems[i]
-		s.state[j] = slotFull
-	}
-}
+func (s *OpenHashSet[T]) Preset() OpenHashPreset { return s.m.Preset() }
 
 // Add inserts v, reporting whether the set changed.
 func (s *OpenHashSet[T]) Add(v T) bool {
-	hash := s.h.hash(v)
-	found, insert := s.slotOf(v, hash)
-	if found >= 0 {
-		return false
-	}
-	if (s.used+1)*s.preset.LoadDen > len(s.elems)*s.preset.LoadNum {
-		newCap := len(s.elems)
-		if (s.size+1)*s.preset.LoadDen > newCap*s.preset.LoadNum {
-			newCap *= 2
-		}
-		s.rehash(newCap)
-		_, insert = s.slotOf(v, hash)
-	}
-	if s.state[insert] == slotEmpty {
-		s.used++
-	}
-	s.elems[insert] = v
-	s.state[insert] = slotFull
-	s.size++
-	return true
+	_, had := s.m.Put(v, struct{}{})
+	return !had
 }
 
 // Remove deletes v, leaving a tombstone.
 func (s *OpenHashSet[T]) Remove(v T) bool {
-	found, _ := s.slotOf(v, s.h.hash(v))
-	if found < 0 {
-		return false
-	}
-	var zero T
-	s.elems[found] = zero
-	s.state[found] = slotDeleted
-	s.size--
-	return true
+	_, had := s.m.Remove(v)
+	return had
 }
 
 // Contains reports whether v is in the set.
-func (s *OpenHashSet[T]) Contains(v T) bool {
-	found, _ := s.slotOf(v, s.h.hash(v))
-	return found >= 0
-}
+func (s *OpenHashSet[T]) Contains(v T) bool { return s.m.ContainsKey(v) }
 
 // Len returns the number of elements.
-func (s *OpenHashSet[T]) Len() int { return s.size }
+func (s *OpenHashSet[T]) Len() int { return s.m.Len() }
 
 // Clear removes all elements, retaining the table.
-func (s *OpenHashSet[T]) Clear() {
-	clear(s.elems)
-	clear(s.state)
-	s.size = 0
-	s.used = 0
-}
+func (s *OpenHashSet[T]) Clear() { s.m.Clear() }
 
 // ForEach calls fn on each element in slot order until fn returns false.
 func (s *OpenHashSet[T]) ForEach(fn func(T) bool) {
-	for i, st := range s.state {
-		if st == slotFull && !fn(s.elems[i]) {
-			return
-		}
-	}
+	s.m.ForEach(func(v T, _ struct{}) bool { return fn(v) })
 }
 
 // FootprintBytes estimates the flat element and state arrays.
 func (s *OpenHashSet[T]) FootprintBytes() int {
 	var zero T
-	c := len(s.elems)
+	c := len(s.m.keys)
 	return structBase + 2*sliceHeader + c*(sizeOf(zero)+1)
 }

@@ -9,6 +9,10 @@ import (
 // O(log n) membership with the footprint of an ArraySet, paid for by O(n)
 // insertion (shift) — the ordered cousin of the array-backed variants and
 // the memory-minimal way to get fast lookups on mostly-static data.
+//
+// Like ArraySet, it keeps its own slice instead of wrapping its map twin
+// (SortedArrayMap[T, struct{}]), whose value inserts into a []struct{} would
+// each go through runtime.growslice.
 type SortedArraySet[T cmp.Ordered] struct {
 	elems []T
 }

@@ -94,7 +94,7 @@ func BenchmarkDecide(b *testing.B) {
 	b.ResetTimer()
 	sink := 0
 	for i := 0; i < b.N; i++ {
-		if d := decide(agg, collections.HashSetID, Rtime(), 4, 40); d.ok {
+		if d := decide(agg, collections.HashSetID, Rtime(), 40); d.ok {
 			sink++
 		}
 	}

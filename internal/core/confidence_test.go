@@ -65,7 +65,7 @@ func runFlapping(t *testing.T, level float64) (*Engine, *obs.Collector, []Decisi
 			name: "flap:site", agg: agg, current: current, round: round,
 			threshold: 50, finished: agg.folded,
 		})
-		rec.explain(e.cfg.Rule, e.cfg.AdaptiveSizeSpread, 50) // as Explain reads it
+		rec.explain(e.cfg.Rule, 50) // as Explain reads it
 		recs = append(recs, *rec)
 		current = next
 	}
@@ -178,15 +178,15 @@ func TestDecideEquivalenceAcrossExplainAndConfidence(t *testing.T) {
 		fold(armed)
 		current := cands[rng.Intn(len(cands))]
 
-		d1 := decide(plain, current, rule, 4, 50)
-		d2, ests, _, _ := decideExplain(plain, current, rule, 4, 50, true)
+		d1 := decide(plain, current, rule, 50)
+		d2, ests, _, _ := decideExplain(plain, current, rule, 50, true)
 		if d1.ok != d2.ok || d1.switchTo != d2.switchTo || d1.suppressedTo != d2.suppressedTo {
 			t.Fatalf("trial %d: explain changed the decision: %+v vs %+v", trial, d1, d2)
 		}
 		if len(ests) != len(cands) {
 			t.Fatalf("trial %d: %d estimates for %d candidates", trial, len(ests), len(cands))
 		}
-		d3 := decide(armed, current, rule, 4, 50)
+		d3 := decide(armed, current, rule, 50)
 		if d1.ok != d3.ok || d1.switchTo != d3.switchTo {
 			t.Fatalf("trial %d: variance-free arming changed the decision: %+v vs %+v", trial, d1, d3)
 		}
@@ -214,7 +214,7 @@ func TestUnarmedAggregateStaysLegacy(t *testing.T) {
 	if agg.lo != nil || agg.hi != nil || agg.z != 0 {
 		t.Fatal("setConfidence(0) armed the aggregate")
 	}
-	_, ests, _, _ := decideExplain(agg, "test/a", Rtime(), 4, 50, true)
+	_, ests, _, _ := decideExplain(agg, "test/a", Rtime(), 50, true)
 	for _, est := range ests {
 		if est.CostsLo != nil || est.CostsHi != nil || est.RatiosHi != nil {
 			t.Fatalf("unarmed estimate carries interval fields: %+v", est)

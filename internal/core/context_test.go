@@ -313,9 +313,6 @@ func TestEngineDefaults(t *testing.T) {
 	if cfg.Models == nil {
 		t.Error("Models not defaulted")
 	}
-	if cfg.AdaptiveSizeSpread != 4 {
-		t.Errorf("AdaptiveSizeSpread = %g, want 4", cfg.AdaptiveSizeSpread)
-	}
 	if cfg.CooldownWindows != 3 {
 		t.Errorf("CooldownWindows = %g, want 3", cfg.CooldownWindows)
 	}

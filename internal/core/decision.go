@@ -128,9 +128,9 @@ type DecisionRecord struct {
 // aggregate — which nothing folds into after its window closes — so the
 // estimates are those of the decision itself. threshold is the context's
 // adaptive-variant transition threshold.
-func (rec *DecisionRecord) explain(rule Rule, adaptiveSpread float64, threshold int64) {
+func (rec *DecisionRecord) explain(rule Rule, threshold int64) {
 	if rec.agg != nil {
-		_, rec.Candidates, _, _ = decideExplain(rec.agg, rec.Variant, rule, adaptiveSpread, threshold, true)
+		_, rec.Candidates, _, _ = decideExplain(rec.agg, rec.Variant, rule, threshold, true)
 	}
 }
 
@@ -183,12 +183,12 @@ func (r *decisionRing) push(rec DecisionRecord) {
 
 // records returns the retained records, oldest first, with the candidate
 // estimates of every rule evaluation derived (DecisionRecord.explain) under
-// the context's rule, adaptive size spread and transition threshold.
-func (r *decisionRing) records(rule Rule, adaptiveSpread float64, threshold int64) []DecisionRecord {
+// the context's rule and transition threshold.
+func (r *decisionRing) records(rule Rule, threshold int64) []DecisionRecord {
 	out := make([]DecisionRecord, r.n)
 	for i := range out {
 		out[i] = r.buf[(r.start+i)%len(r.buf)]
-		out[i].explain(rule, adaptiveSpread, threshold)
+		out[i].explain(rule, threshold)
 	}
 	return out
 }

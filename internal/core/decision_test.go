@@ -276,8 +276,8 @@ func TestDecideExplainMatchesDecide(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			agg.fold(w)
 		}
-		plain := decide(agg, collections.ArrayListID, Rtime(), 4, 64)
-		withExplain, ests, _, _ := decideExplain(agg, collections.ArrayListID, Rtime(), 4, 64, true)
+		plain := decide(agg, collections.ArrayListID, Rtime(), 64)
+		withExplain, ests, _, _ := decideExplain(agg, collections.ArrayListID, Rtime(), 64, true)
 		if plain.ok != withExplain.ok || plain.switchTo != withExplain.switchTo {
 			t.Errorf("workload %+v: decide=%+v explain=%+v", w, plain, withExplain)
 		}

@@ -39,11 +39,6 @@ type Config struct {
 	Rule Rule
 	// Models are the performance models consulted for cost estimates.
 	Models *perfmodel.Models
-	// AdaptiveSizeSpread gates adaptive variants: they become candidates
-	// only when the observed max sizes of the monitored instances spread
-	// by at least this factor between the smallest and largest instance
-	// (Section 3.2: "widely ranging sizes"). Zero uses the default (4).
-	AdaptiveSizeSpread float64
 	// CooldownWindows throttles monitoring: after each analysis round, the
 	// next CooldownWindows×WindowSize instances are created unmonitored.
 	// This bounds the sampled fraction of instances (the paper bounds it
@@ -117,9 +112,6 @@ func (c Config) withDefaults() (Config, []obs.ConfigClamped) {
 	}
 	if c.Models == nil {
 		c.Models = sharedDefaultModels()
-	}
-	if c.AdaptiveSizeSpread <= 0 {
-		c.AdaptiveSizeSpread = 4
 	}
 	if c.CooldownWindows == 0 {
 		c.CooldownWindows = 3
@@ -520,7 +512,7 @@ func (e *Engine) closeWindow(wc windowClose) (collections.VariantID, *DecisionRe
 		rec.Drift = wc.drift
 	} else {
 		e.metrics.RuleEvaluations.Add(1)
-		d, _, miss, missC1 := decideExplain(wc.agg, wc.current, e.cfg.Rule, e.cfg.AdaptiveSizeSpread, wc.threshold, false)
+		d, _, miss, missC1 := decideExplain(wc.agg, wc.current, e.cfg.Rule, wc.threshold, false)
 		if d.ok {
 			e.logTransition(Transition{
 				Context: wc.name, From: wc.current, To: d.switchTo,

@@ -157,11 +157,11 @@ func TestFoldAndDecideAllocateNothing(t *testing.T) {
 		size := int64(10 + (i%50)*20)
 		agg.fold(Workload{Adds: size, Contains: 100, Iterates: 2, MaxSize: size})
 	}
-	if d := decide(agg, collections.HashSetID, ImpossibleRule(), 4, collections.DefaultSetThreshold); d.ok {
+	if d := decide(agg, collections.HashSetID, ImpossibleRule(), collections.DefaultSetThreshold); d.ok {
 		t.Fatalf("impossible rule switched to %s", d.switchTo)
 	}
 	n := testing.AllocsPerRun(100, func() {
-		decide(agg, collections.HashSetID, ImpossibleRule(), 4, collections.DefaultSetThreshold)
+		decide(agg, collections.HashSetID, ImpossibleRule(), collections.DefaultSetThreshold)
 	})
 	if n != 0 {
 		t.Errorf("decide with no eligible candidate allocates %v times", n)

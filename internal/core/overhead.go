@@ -30,7 +30,7 @@ func DecisionOverheadNs(models *perfmodel.Models, rule Rule, windowSize, iters i
 	start := time.Now()
 	sink := 0
 	for i := 0; i < iters; i++ {
-		d := decide(agg, collections.HashSetID, rule, 4, collections.DefaultSetThreshold)
+		d := decide(agg, collections.HashSetID, rule, collections.DefaultSetThreshold)
 		if d.ok {
 			sink++
 		}

@@ -86,7 +86,7 @@ func TestImpossibleRuleNeverEligible(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		agg.fold(Workload{Adds: 500, Contains: 100, MaxSize: 500})
 	}
-	d := decide(agg, "list/array", ImpossibleRule(), 4, 50)
+	d := decide(agg, "list/array", ImpossibleRule(), 50)
 	if d.ok {
 		t.Fatalf("impossible rule selected %s", d.switchTo)
 	}

@@ -233,15 +233,20 @@ type decision struct {
 	suppressedC1 float64
 }
 
+// adaptiveSizeSpread is the factor by which the observed max sizes of the
+// monitored instances must spread, smallest to largest, before adaptive
+// variants become candidates (Section 3.2: "widely ranging sizes").
+const adaptiveSizeSpread = 4
+
 // decide applies the selection rule of Section 3.1.2: a candidate is
 // eligible if TC_D(new)/TC_D(cur) ≤ T_D for every criterion; among eligible
 // candidates the largest improvement on the first criterion wins. Adaptive
 // variants are only considered when the observed sizes are "widely ranging"
-// (Section 3.2): the spread must reach adaptiveSpread AND the sizes must
+// (Section 3.2): the spread must reach adaptiveSizeSpread AND the sizes must
 // straddle the variant's transition threshold — an adaptive collection is
 // pointless when every instance stays on one side of it.
-func decide(a *costAgg, current collections.VariantID, rule Rule, adaptiveSpread float64, adaptiveThreshold int64) decision {
-	d, _, _, _ := decideExplain(a, current, rule, adaptiveSpread, adaptiveThreshold, false)
+func decide(a *costAgg, current collections.VariantID, rule Rule, adaptiveThreshold int64) decision {
+	d, _, _, _ := decideExplain(a, current, rule, adaptiveThreshold, false)
 	return d
 }
 
@@ -257,7 +262,7 @@ func decide(a *costAgg, current collections.VariantID, rule Rule, adaptiveSpread
 // must additionally clear every criterion with its interval upper ratio; the
 // best candidate the gate withholds is reported through the decision's
 // suppressed fields so the engine can surface it as a ci_overlap outcome.
-func decideExplain(a *costAgg, current collections.VariantID, rule Rule, adaptiveSpread float64, adaptiveThreshold int64, explain bool) (decision, []CandidateEstimate, collections.VariantID, float64) {
+func decideExplain(a *costAgg, current collections.VariantID, rule Rule, adaptiveThreshold int64, explain bool) (decision, []CandidateEstimate, collections.VariantID, float64) {
 	curIdx := a.candidateIndex(current)
 	if curIdx < 0 || a.folded == 0 {
 		return decision{}, nil, "", math.Inf(1)
@@ -291,7 +296,7 @@ func decideExplain(a *costAgg, current collections.VariantID, rule Rule, adaptiv
 		}
 		if a.adaptive[i] {
 			straddles := a.minSize < adaptiveThreshold && a.maxSize > adaptiveThreshold
-			if spread < adaptiveSpread || !straddles {
+			if spread < adaptiveSizeSpread || !straddles {
 				if explain {
 					for k, crit := range rule.Criteria {
 						ratios[k] = a.ratio(i, curIdx, crit.Dimension)

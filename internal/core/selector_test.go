@@ -32,7 +32,7 @@ func TestDecideListLookupHeavySwitchesToHashArray(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		agg.fold(Workload{Adds: 500, Contains: 500, MaxSize: 500})
 	}
-	d := decide(agg, collections.ArrayListID, Rtime(), 4, 50)
+	d := decide(agg, collections.ArrayListID, Rtime(), 50)
 	if !d.ok {
 		t.Fatal("no switch decided")
 	}
@@ -51,7 +51,7 @@ func TestDecideListSmallSizesStayOnArray(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		agg.fold(Workload{Adds: 10, Contains: 500, MaxSize: 10})
 	}
-	d := decide(agg, collections.ArrayListID, Rtime(), 4, 50)
+	d := decide(agg, collections.ArrayListID, Rtime(), 50)
 	if d.ok {
 		t.Fatalf("switched to %s at size 10", d.switchTo)
 	}
@@ -63,7 +63,7 @@ func TestDecideSetRtimePicksOpenFast(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		agg.fold(Workload{Adds: 500, Contains: 100, MaxSize: 500})
 	}
-	d := decide(agg, collections.HashSetID, Rtime(), 4, 50)
+	d := decide(agg, collections.HashSetID, Rtime(), 50)
 	if !d.ok {
 		t.Fatal("no switch decided")
 	}
@@ -89,7 +89,7 @@ func TestDecideSetRallocStepsAcrossPresets(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			agg.fold(Workload{Adds: c.size, Contains: 100, MaxSize: c.size})
 		}
-		d := decide(agg, collections.HashSetID, Ralloc(), 4, 50)
+		d := decide(agg, collections.HashSetID, Ralloc(), 50)
 		if !d.ok {
 			t.Fatalf("size %d: no switch decided", c.size)
 		}
@@ -103,7 +103,8 @@ func TestDecideAdaptiveGatedBySizeSpread(t *testing.T) {
 	models := perfmodel.Default()
 	// Candidate set narrowed to {chained, adaptive} to observe the gate
 	// itself: with widely ranging sizes adaptive is admitted and wins;
-	// with an unreachable spread gate it is excluded and nothing wins.
+	// with sizes that straddle the transition threshold but spread less
+	// than adaptiveSizeSpread it is excluded and nothing wins.
 	candidates := []collections.VariantID{collections.HashSetID, collections.AdaptiveSetID}
 	agg := newCostAgg(models, candidates)
 	for i := 0; i < 90; i++ {
@@ -112,18 +113,43 @@ func TestDecideAdaptiveGatedBySizeSpread(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		agg.fold(Workload{Adds: 600, Contains: 20, MaxSize: 600})
 	}
-	if spread := agg.sizeSpread(); spread < 4 {
-		t.Fatalf("sizeSpread = %g, expected >= 4", spread)
+	if spread := agg.sizeSpread(); spread < adaptiveSizeSpread {
+		t.Fatalf("sizeSpread = %g, expected >= %d", spread, adaptiveSizeSpread)
 	}
-	d := decide(agg, collections.HashSetID, Ralloc(), 4, 50)
+	d := decide(agg, collections.HashSetID, Ralloc(), 50)
 	if !d.ok || d.switchTo != collections.AdaptiveSetID {
 		t.Fatalf("spread workload: got %+v, want switch to %s", d, collections.AdaptiveSetID)
 	}
 
-	// Same aggregate but with a spread gate above the observed spread:
-	// adaptive must be excluded.
-	if d := decide(agg, collections.HashSetID, Ralloc(), 1e9, 50); d.ok {
+	// Sizes 20 and 60 straddle the threshold of 50 but spread only 3x:
+	// adaptive must be excluded by the gate, though its ratios clear
+	// every criterion.
+	narrow := newCostAgg(models, candidates)
+	for i := 0; i < 90; i++ {
+		narrow.fold(Workload{Adds: 20, Contains: 20, MaxSize: 20})
+	}
+	for i := 0; i < 10; i++ {
+		narrow.fold(Workload{Adds: 60, Contains: 20, MaxSize: 60})
+	}
+	if spread := narrow.sizeSpread(); spread >= adaptiveSizeSpread {
+		t.Fatalf("sizeSpread = %g, expected < %d", spread, adaptiveSizeSpread)
+	}
+	d, ests, _, _ := decideExplain(narrow, collections.HashSetID, Ralloc(), 50, true)
+	if d.ok {
 		t.Fatalf("adaptive selected (%s) despite failing the spread gate", d.switchTo)
+	}
+	for _, est := range ests {
+		if est.Variant != collections.AdaptiveSetID {
+			continue
+		}
+		if est.Reason != "adaptive size gate" {
+			t.Fatalf("adaptive estimate reason = %q, want the size gate", est.Reason)
+		}
+		for _, c := range Ralloc().Criteria {
+			if r := est.Ratios[c.Dimension]; r > c.Threshold {
+				t.Fatalf("adaptive %s ratio %g fails its threshold %g: the gate is not what excludes it", c.Dimension, r, c.Threshold)
+			}
+		}
 	}
 }
 
@@ -138,7 +164,7 @@ func TestDecideFullCandidatesSpreadWorkloadPicksMemoryVariant(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		agg.fold(Workload{Adds: 600, Contains: 20, MaxSize: 600})
 	}
-	d := decide(agg, collections.HashSetID, Ralloc(), 4, 50)
+	d := decide(agg, collections.HashSetID, Ralloc(), 50)
 	if !d.ok {
 		t.Fatal("no switch on spread workload")
 	}
@@ -165,7 +191,7 @@ func TestDecideUniformSizesExcludeAdaptive(t *testing.T) {
 	if spread := agg.sizeSpread(); spread != 1 {
 		t.Fatalf("uniform spread = %g, want 1", spread)
 	}
-	d := decide(agg, collections.HashSetID, Ralloc(), 4, 50)
+	d := decide(agg, collections.HashSetID, Ralloc(), 50)
 	if d.ok && d.switchTo == collections.AdaptiveSetID {
 		t.Fatal("adaptive selected for uniform sizes")
 	}
@@ -173,7 +199,7 @@ func TestDecideUniformSizesExcludeAdaptive(t *testing.T) {
 
 func TestDecideEmptyAggregate(t *testing.T) {
 	agg := newCostAgg(perfmodel.Default(), listCandidates())
-	if d := decide(agg, collections.ArrayListID, Rtime(), 4, 50); d.ok {
+	if d := decide(agg, collections.ArrayListID, Rtime(), 50); d.ok {
 		t.Fatal("decision from empty aggregate")
 	}
 }
@@ -181,7 +207,7 @@ func TestDecideEmptyAggregate(t *testing.T) {
 func TestDecideUnknownCurrent(t *testing.T) {
 	agg := newCostAgg(perfmodel.Default(), listCandidates())
 	agg.fold(Workload{Adds: 100, MaxSize: 100})
-	if d := decide(agg, "list/bogus", Rtime(), 4, 50); d.ok {
+	if d := decide(agg, "list/bogus", Rtime(), 50); d.ok {
 		t.Fatal("decision with unknown current variant")
 	}
 }
@@ -193,7 +219,7 @@ func TestDecideStaysWhenCurrentIsBest(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		agg.fold(Workload{Adds: 500, Contains: 1000, MaxSize: 500})
 	}
-	if d := decide(agg, collections.HashArrayListID, Rtime(), 4, 50); d.ok {
+	if d := decide(agg, collections.HashArrayListID, Rtime(), 50); d.ok {
 		t.Fatalf("left HashArrayList for %s on lookup-heavy workload", d.switchTo)
 	}
 }
@@ -206,7 +232,7 @@ func TestDecideIterationHeavyLeavesLinked(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		agg.fold(Workload{Adds: 200, Iterates: 50, Contains: 30, MaxSize: 200})
 	}
-	d := decide(agg, collections.LinkedListID, Rtime(), 4, 50)
+	d := decide(agg, collections.LinkedListID, Rtime(), 50)
 	if !d.ok {
 		t.Fatal("no switch from LinkedList")
 	}

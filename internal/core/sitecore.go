@@ -508,7 +508,7 @@ func (c *siteCore[C, M]) modelGaps() []collections.VariantID {
 func (c *siteCore[C, M]) decisionRecords() []DecisionRecord {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ring.records(c.e.cfg.Rule, c.e.cfg.AdaptiveSizeSpread, c.threshold)
+	return c.ring.records(c.e.cfg.Rule, c.threshold)
 }
 
 // siteStatus extends siteSnapshot with the live window/cooldown counters and

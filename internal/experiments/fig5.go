@@ -97,68 +97,56 @@ func RunFig5(sc Scale, o apps.Obs) []Fig5Panel {
 	for _, size := range sc.Fig5Sizes {
 		// Panel a: lists under Rtime.
 		panels[0].Points = append(panels[0].Points,
-			fig5List(core.Rtime(), size, sc.Fig5Instances, sc.Fig5ListLookups, every, o))
+			fig5Point(fig5Lists, core.Rtime(), size, sc.Fig5Instances, sc.Fig5ListLookups, every, o))
 		// Panel b/d: sets under Rtime and Ralloc.
 		panels[1].Points = append(panels[1].Points,
-			fig5Set(core.Rtime(), size, sc.Fig5Instances, sc.Fig5Lookups, every, o))
+			fig5Point(fig5Sets, core.Rtime(), size, sc.Fig5Instances, sc.Fig5Lookups, every, o))
 		panels[3].Points = append(panels[3].Points,
-			fig5Set(core.Ralloc(), size, sc.Fig5Instances, sc.Fig5Lookups, every, o))
+			fig5Point(fig5Sets, core.Ralloc(), size, sc.Fig5Instances, sc.Fig5Lookups, every, o))
 		// Panel c/e: maps under Rtime and Ralloc.
 		panels[2].Points = append(panels[2].Points,
-			fig5Map(core.Rtime(), size, sc.Fig5Instances, sc.Fig5Lookups, every, o))
+			fig5Point(fig5Maps, core.Rtime(), size, sc.Fig5Instances, sc.Fig5Lookups, every, o))
 		panels[4].Points = append(panels[4].Points,
-			fig5Map(core.Ralloc(), size, sc.Fig5Instances, sc.Fig5Lookups, every, o))
+			fig5Point(fig5Maps, core.Ralloc(), size, sc.Fig5Instances, sc.Fig5Lookups, every, o))
 	}
 	return panels
 }
 
-func fig5List(rule core.Rule, size, instances, lookups, every int, o apps.Obs) Fig5Point {
-	e := newFig5Engine(rule, fmt.Sprintf("fig5a@%d", size), o)
-	defer e.Close()
-	ctx := core.NewListContext[int](e, core.WithName(fmt.Sprintf("fig5a@%d", size)))
-	swRes, baseRes := interleave(workload.SinglePhaseList, ctx.NewList, func() collections.List[int] {
-		return collections.NewArrayList[int]()
-	}, engineHook(e), instances, size, lookups, every)
-	p := Fig5Point{
-		Size:          size,
-		SwitchTime:    swRes.Elapsed.Seconds(),
-		BaselineTime:  baseRes.Elapsed.Seconds(),
-		SwitchAlloc:   swRes.AllocBytes,
-		BaselineAlloc: baseRes.AllocBytes,
-	}
-	if v := ctx.CurrentVariant(); v != collections.ArrayListID {
-		p.SelectedVariant = v
-	}
-	return p
+// fig5Kind is what separates the list, set and map panels: the prefix that
+// names each point's engine and context, the single-phase runner, the
+// context under test and its factory method, and the fixed baseline.
+type fig5Kind[C any, X interface{ CurrentVariant() collections.VariantID }] struct {
+	prefix     string
+	run        func(func() C, int, int, int, int64, int, func()) (workload.Result, int)
+	newContext func(*core.Engine, ...core.Option) X
+	factory    func(X) C
+	newBase    func() C
+	baseID     collections.VariantID
 }
 
-func fig5Set(rule core.Rule, size, instances, lookups, every int, o apps.Obs) Fig5Point {
-	e := newFig5Engine(rule, fmt.Sprintf("fig5set@%d", size), o)
-	defer e.Close()
-	ctx := core.NewSetContext[int](e, core.WithName(fmt.Sprintf("fig5set@%d", size)))
-	swRes, baseRes := interleave(workload.SinglePhaseSet, ctx.NewSet, func() collections.Set[int] {
-		return collections.NewHashSet[int]()
-	}, engineHook(e), instances, size, lookups, every)
-	p := Fig5Point{
-		Size:          size,
-		SwitchTime:    swRes.Elapsed.Seconds(),
-		BaselineTime:  baseRes.Elapsed.Seconds(),
-		SwitchAlloc:   swRes.AllocBytes,
-		BaselineAlloc: baseRes.AllocBytes,
+var (
+	fig5Lists = fig5Kind[collections.List[int], *core.ListContext[int]]{
+		"fig5a", workload.SinglePhaseList, core.NewListContext[int], (*core.ListContext[int]).NewList,
+		func() collections.List[int] { return collections.NewArrayList[int]() }, collections.ArrayListID,
 	}
-	if v := ctx.CurrentVariant(); v != collections.HashSetID {
-		p.SelectedVariant = v
+	fig5Sets = fig5Kind[collections.Set[int], *core.SetContext[int]]{
+		"fig5set", workload.SinglePhaseSet, core.NewSetContext[int], (*core.SetContext[int]).NewSet,
+		func() collections.Set[int] { return collections.NewHashSet[int]() }, collections.HashSetID,
 	}
-	return p
-}
+	fig5Maps = fig5Kind[collections.Map[int, int], *core.MapContext[int, int]]{
+		"fig5map", workload.SinglePhaseMap, core.NewMapContext[int, int], (*core.MapContext[int, int]).NewMap,
+		func() collections.Map[int, int] { return collections.NewHashMap[int, int]() }, collections.HashMapID,
+	}
+)
 
-func fig5Map(rule core.Rule, size, instances, lookups, every int, o apps.Obs) Fig5Point {
-	e := newFig5Engine(rule, fmt.Sprintf("fig5map@%d", size), o)
+// fig5Point measures one size of one panel.
+func fig5Point[C any, X interface{ CurrentVariant() collections.VariantID }](k fig5Kind[C, X], rule core.Rule, size, instances, lookups, every int, o apps.Obs) Fig5Point {
+	name := fmt.Sprintf("%s@%d", k.prefix, size)
+	e := newFig5Engine(rule, name, o)
 	defer e.Close()
-	ctx := core.NewMapContext[int, int](e, core.WithName(fmt.Sprintf("fig5map@%d", size)))
-	swRes, baseRes := interleave(workload.SinglePhaseMap, ctx.NewMap, func() collections.Map[int, int] {
-		return collections.NewHashMap[int, int]()
-	}, engineHook(e), instances, size, lookups, every)
+	ctx := k.newContext(e, core.WithName(name))
+	swRes, baseRes := interleave(k.run, func() C { return k.factory(ctx) }, k.newBase,
+		engineHook(e), instances, size, lookups, every)
 	p := Fig5Point{
 		Size:          size,
 		SwitchTime:    swRes.Elapsed.Seconds(),
@@ -166,7 +154,7 @@ func fig5Map(rule core.Rule, size, instances, lookups, every int, o apps.Obs) Fi
 		SwitchAlloc:   swRes.AllocBytes,
 		BaselineAlloc: baseRes.AllocBytes,
 	}
-	if v := ctx.CurrentVariant(); v != collections.HashMapID {
+	if v := ctx.CurrentVariant(); v != k.baseID {
 		p.SelectedVariant = v
 	}
 	return p

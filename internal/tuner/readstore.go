@@ -1,8 +1,6 @@
 package tuner
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -37,27 +35,14 @@ func ReadStore(path string) (StoreData, error) {
 	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
 		path = filepath.Join(path, StoreFileName)
 	}
-	out := StoreData{Path: path}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return out, fmt.Errorf("tuner: reading store: %w", err)
+		return StoreData{Path: path}, fmt.Errorf("tuner: reading store: %w", err)
 	}
-	var doc storeDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return out, fmt.Errorf("tuner: store %s: invalid JSON: %w", path, err)
+	out, err := parseStore(data, false)
+	out.Path = path
+	if err != nil {
+		return out, fmt.Errorf("tuner: store %s: %w", path, err)
 	}
-	if doc.Schema != storeSchema {
-		return out, fmt.Errorf("tuner: store %s: unknown schema version %d (want %d)", path, doc.Schema, storeSchema)
-	}
-	if len(doc.Models) > 0 {
-		m, err := perfmodel.ReadJSON(bytes.NewReader(doc.Models))
-		if err != nil {
-			return out, fmt.Errorf("tuner: store %s: invalid model set: %w", path, err)
-		}
-		out.Models = m
-	}
-	out.Sites = doc.Sites
-	out.Fingerprint = doc.Fingerprint
-	out.FingerprintMatches = doc.Fingerprint.Matches(perfmodel.CollectFingerprint())
 	return out, nil
 }

@@ -105,33 +105,16 @@ func (s *Store) load() {
 		}
 		return // cold start: nothing persisted yet
 	}
-	var doc storeDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		s.reject(fmt.Sprintf("invalid JSON: %v", err))
+	parsed, err := parseStore(data, true)
+	if err != nil {
+		s.reject(err.Error())
 		return
-	}
-	if doc.Schema != storeSchema {
-		s.reject(fmt.Sprintf("unknown schema version %d (want %d)", doc.Schema, storeSchema))
-		return
-	}
-	if here := perfmodel.CollectFingerprint(); !doc.Fingerprint.Matches(here) {
-		s.reject(fmt.Sprintf("fingerprint mismatch: store %s, machine %s", doc.Fingerprint, here))
-		return
-	}
-	var models *perfmodel.Models
-	if len(doc.Models) > 0 {
-		m, err := perfmodel.ReadJSON(bytes.NewReader(doc.Models))
-		if err != nil {
-			s.reject(fmt.Sprintf("invalid model set: %v", err))
-			return
-		}
-		models = m
 	}
 	// Validation complete: adopt the state in one step (no partial loads).
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.models = models
-	for _, site := range doc.Sites {
+	s.models = parsed.Models
+	for _, site := range parsed.Sites {
 		if _, seen := s.sites[site.Name]; !seen {
 			s.order = append(s.order, site.Name)
 		}
@@ -140,11 +123,38 @@ func (s *Store) load() {
 	s.metrics.StoreLoads.Add(1)
 	if s.sink != nil {
 		curves := 0
-		if models != nil {
-			curves = models.Len()
+		if parsed.Models != nil {
+			curves = parsed.Models.Len()
 		}
-		s.sink.Emit(obs.StoreLoaded{Path: path, Sites: len(doc.Sites), Curves: curves})
+		s.sink.Emit(obs.StoreLoaded{Path: path, Sites: len(parsed.Sites), Curves: curves})
 	}
+}
+
+// parseStore decodes a store file's bytes, checking in order its JSON, its
+// schema version, the machine fingerprint and the nested model set. A
+// fingerprint from another machine fails only when strict; otherwise it is
+// reported through FingerprintMatches. The error text names the failed check.
+func parseStore(data []byte, strict bool) (StoreData, error) {
+	var doc storeDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return StoreData{}, fmt.Errorf("invalid JSON: %w", err)
+	}
+	if doc.Schema != storeSchema {
+		return StoreData{}, fmt.Errorf("unknown schema version %d (want %d)", doc.Schema, storeSchema)
+	}
+	here := perfmodel.CollectFingerprint()
+	out := StoreData{Sites: doc.Sites, Fingerprint: doc.Fingerprint, FingerprintMatches: doc.Fingerprint.Matches(here)}
+	if strict && !out.FingerprintMatches {
+		return StoreData{}, fmt.Errorf("fingerprint mismatch: store %s, machine %s", doc.Fingerprint, here)
+	}
+	if len(doc.Models) > 0 {
+		m, err := perfmodel.ReadJSON(bytes.NewReader(doc.Models))
+		if err != nil {
+			return StoreData{}, fmt.Errorf("invalid model set: %w", err)
+		}
+		out.Models = m
+	}
+	return out, nil
 }
 
 // reject reports one discarded store file. The Store keeps its empty state.

@@ -3,6 +3,7 @@ package tuner
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -230,4 +231,57 @@ func TestReadStoreTolerantOfFingerprintMismatch(t *testing.T) {
 	if _, err := ReadStore(t.TempDir()); err == nil {
 		t.Error("missing store file accepted")
 	}
+}
+
+// FuzzReadStore feeds arbitrary bytes to the store decoder through both of
+// its readers. ReadStore must return an error or data, never panic, and Open
+// must load exactly the files ReadStore accepts as measured on this machine
+// and reject every other one.
+func FuzzReadStore(f *testing.F) {
+	s := Open(f.TempDir(), nil, nil)
+	s.RecordSites([]core.SiteSnapshot{demoSnapshot()})
+	m := perfmodel.NewModels()
+	m.Set(collections.ArrayListID, perfmodel.OpContains, perfmodel.DimTimeNS, polyfit.Poly{Coeffs: []float64{0, 3}})
+	s.SetModels(m)
+	if err := s.Save(); err != nil {
+		f.Fatal(err)
+	}
+	saved, err := os.ReadFile(s.Path())
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Each faulty seed keeps this machine's fingerprint, so Open reaches
+	// the check the seed fails.
+	withField := func(key string, v any) []byte {
+		var doc map[string]any
+		if err := json.Unmarshal(saved, &doc); err != nil {
+			f.Fatal(err)
+		}
+		doc[key] = v
+		out, err := json.Marshal(doc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return out
+	}
+	f.Add(saved)
+	f.Add(saved[:len(saved)/2])
+	f.Add(withField("schema", 99))
+	f.Add(withField("models", map[string]any{"curves": []any{
+		map[string]any{"variant": "x", "op": "contains", "dimension": "time-ns", "pieces": []any{}},
+	}}))
+	f.Add(withField("models", "garbage"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, StoreFileName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadStore(dir)
+		reg := obs.NewRegistry()
+		Open(dir, nil, reg)
+		wantLoad := err == nil && got.FingerprintMatches
+		if loads, rejects := reg.StoreLoads.Load(), reg.StoreRejects.Load(); wantLoad != (loads == 1) || loads+rejects != 1 {
+			t.Fatalf("ReadStore (err %v, fingerprint match %v) and Open (%d loads, %d rejects) disagree", err, got.FingerprintMatches, loads, rejects)
+		}
+	})
 }
