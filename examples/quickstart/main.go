@@ -71,8 +71,7 @@ func main() {
 	l := listCtx.NewList()
 	l.Add(42)
 	fmt.Println("new list works:", l.Contains(42), "len:", l.Len())
-	if _, isHashArray := any(l).(interface{ FootprintBytes() int }); isHashArray {
+	if listCtx.CurrentVariant() == collections.HashArrayListID {
 		fmt.Println("instances now come from the switched variant")
 	}
-	_ = collections.HashArrayListID
 }

@@ -6,13 +6,12 @@ package collections
 const DefaultListThreshold = 80
 
 // AdaptiveList is the instance-level adaptive list (paper Table 1,
-// array→hash): it starts as a plain ArrayList and, when the element count
-// first exceeds the transition threshold, performs an instant transition to
-// a HashArrayList so that lookups stop being linear. The transition builds
-// the hash bag over the existing backing slice without copying the elements.
+// array→hash): a HashArrayList without its bag, so a plain array list, until
+// the element count first exceeds the transition threshold. The instant
+// transition then counts the elements into a bag sized for twice the list,
+// without copying them, so that lookups stop being linear.
 type AdaptiveList[T comparable] struct {
-	array     *ArrayList[T]     // nil after the transition
-	hash      *HashArrayList[T] // nil before the transition
+	HashArrayList[T]
 	threshold int
 }
 
@@ -27,114 +26,36 @@ func NewAdaptiveListThreshold[T comparable](threshold int) *AdaptiveList[T] {
 	if threshold < 0 {
 		threshold = 0
 	}
-	return &AdaptiveList[T]{array: NewArrayList[T](), threshold: threshold}
+	return &AdaptiveList[T]{threshold: threshold}
 }
 
 // Transitioned reports whether the instance has switched to its hash form.
-func (l *AdaptiveList[T]) Transitioned() bool { return l.hash != nil }
+func (l *AdaptiveList[T]) Transitioned() bool { return l.bag != nil }
 
 func (l *AdaptiveList[T]) maybeTransition() {
-	if l.hash == nil && l.array.Len() > l.threshold {
-		l.hash = NewHashArrayListFrom(l.array.elems)
-		l.array = nil
+	if l.bag == nil && len(l.elems) > l.threshold {
+		l.buildBag()
 	}
 }
 
 // Add appends v to the end of the list.
 func (l *AdaptiveList[T]) Add(v T) {
-	if l.hash != nil {
-		l.hash.Add(v)
-		return
-	}
-	l.array.Add(v)
+	l.HashArrayList.Add(v)
 	l.maybeTransition()
 }
 
 // Insert places v at index i.
 func (l *AdaptiveList[T]) Insert(i int, v T) {
-	if l.hash != nil {
-		l.hash.Insert(i, v)
-		return
-	}
-	l.array.Insert(i, v)
+	l.HashArrayList.Insert(i, v)
 	l.maybeTransition()
-}
-
-// Get returns the element at index i.
-func (l *AdaptiveList[T]) Get(i int) T {
-	if l.hash != nil {
-		return l.hash.Get(i)
-	}
-	return l.array.Get(i)
-}
-
-// Set replaces the element at index i, returning the previous value.
-func (l *AdaptiveList[T]) Set(i int, v T) T {
-	if l.hash != nil {
-		return l.hash.Set(i, v)
-	}
-	return l.array.Set(i, v)
-}
-
-// RemoveAt removes and returns the element at index i.
-func (l *AdaptiveList[T]) RemoveAt(i int) T {
-	if l.hash != nil {
-		return l.hash.RemoveAt(i)
-	}
-	return l.array.RemoveAt(i)
-}
-
-// Remove deletes the first occurrence of v.
-func (l *AdaptiveList[T]) Remove(v T) bool {
-	if l.hash != nil {
-		return l.hash.Remove(v)
-	}
-	return l.array.Remove(v)
-}
-
-// Contains reports whether v occurs in the list.
-func (l *AdaptiveList[T]) Contains(v T) bool {
-	if l.hash != nil {
-		return l.hash.Contains(v)
-	}
-	return l.array.Contains(v)
-}
-
-// IndexOf returns the index of the first occurrence of v, or -1.
-func (l *AdaptiveList[T]) IndexOf(v T) int {
-	if l.hash != nil {
-		return l.hash.IndexOf(v)
-	}
-	return l.array.IndexOf(v)
-}
-
-// Len returns the number of elements.
-func (l *AdaptiveList[T]) Len() int {
-	if l.hash != nil {
-		return l.hash.Len()
-	}
-	return l.array.Len()
 }
 
 // Clear removes all elements and reverts to the array representation.
 func (l *AdaptiveList[T]) Clear() {
-	l.array = NewArrayList[T]()
-	l.hash = nil
-}
-
-// ForEach calls fn on each element in order until fn returns false.
-func (l *AdaptiveList[T]) ForEach(fn func(T) bool) {
-	if l.hash != nil {
-		l.hash.ForEach(fn)
-		return
-	}
-	l.array.ForEach(fn)
+	l.HashArrayList = HashArrayList[T]{}
 }
 
 // FootprintBytes estimates the active representation.
 func (l *AdaptiveList[T]) FootprintBytes() int {
-	if l.hash != nil {
-		return structBase + l.hash.FootprintBytes()
-	}
-	return structBase + l.array.FootprintBytes()
+	return structBase + l.HashArrayList.FootprintBytes()
 }

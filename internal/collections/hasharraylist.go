@@ -6,6 +6,12 @@ package collections
 // every mutation. IndexOf (a positional query) is still linear, and — as the
 // paper notes in the Figure 6 discussion — element removal pays for updating
 // both structures.
+//
+// A nil bag makes the list a plain array list: Contains and IndexOf scan,
+// and the mutators skip the bag. AdaptiveList embeds a HashArrayList with a
+// nil bag and builds the bag at its transition. The bag leaves NaN out: it
+// never equals itself, so no lookup could find its entry and no removal
+// could delete it.
 type HashArrayList[T comparable] struct {
 	elems []T
 	bag   map[T]int32
@@ -17,16 +23,37 @@ func NewHashArrayList[T comparable]() *HashArrayList[T] {
 }
 
 // NewHashArrayListFrom builds a HashArrayList from an existing slice,
-// adopting (not copying) it. It is used by AdaptiveList when transitioning.
+// adopting (not copying) it, with the bag AdaptiveList builds at its
+// transition.
 func NewHashArrayListFrom[T comparable](elems []T) *HashArrayList[T] {
-	l := &HashArrayList[T]{elems: elems, bag: make(map[T]int32, len(elems))}
-	for _, e := range elems {
-		l.bag[e]++
-	}
+	l := &HashArrayList[T]{elems: elems}
+	l.buildBag()
 	return l
 }
 
+// buildBag counts the elements into a new bag sized for twice their number,
+// so a list that keeps growing does not rehash it until it has doubled (the
+// rule AdaptiveSet and AdaptiveMap apply to their hash forms).
+func (l *HashArrayList[T]) buildBag() {
+	bag := make(map[T]int32, 2*len(l.elems))
+	for _, e := range l.elems {
+		if e == e {
+			bag[e]++
+		}
+	}
+	l.bag = bag
+}
+
+func (l *HashArrayList[T]) bagAdd(v T) {
+	if l.bag != nil && v == v {
+		l.bag[v]++
+	}
+}
+
 func (l *HashArrayList[T]) bagRemove(v T) {
+	if l.bag == nil {
+		return
+	}
 	if c := l.bag[v]; c <= 1 {
 		delete(l.bag, v)
 	} else {
@@ -37,7 +64,7 @@ func (l *HashArrayList[T]) bagRemove(v T) {
 // Add appends v to the end of the list.
 func (l *HashArrayList[T]) Add(v T) {
 	l.elems = append(l.elems, v)
-	l.bag[v]++
+	l.bagAdd(v)
 }
 
 // Insert places v at index i, shifting subsequent elements right.
@@ -49,7 +76,7 @@ func (l *HashArrayList[T]) Insert(i int, v T) {
 	l.elems = append(l.elems, zero)
 	copy(l.elems[i+1:], l.elems[i:])
 	l.elems[i] = v
-	l.bag[v]++
+	l.bagAdd(v)
 }
 
 // Get returns the element at index i.
@@ -60,7 +87,7 @@ func (l *HashArrayList[T]) Set(i int, v T) T {
 	old := l.elems[i]
 	l.elems[i] = v
 	l.bagRemove(old)
-	l.bag[v]++
+	l.bagAdd(v)
 	return old
 }
 
@@ -87,17 +114,26 @@ func (l *HashArrayList[T]) Remove(v T) bool {
 	return true
 }
 
-// Contains reports whether v occurs in the list via the hash bag (O(1)).
-func (l *HashArrayList[T]) Contains(v T) bool {
-	_, ok := l.bag[v]
-	return ok
+// Contains reports whether v occurs in the list via the hash bag (O(1)), or
+// by a scan when there is no bag. This form, with the scan through IndexOf
+// and a bare return of the named result, costs exactly the compiler's
+// inlining budget, so the interface wrapper a program calls holds the bag
+// lookup itself.
+func (l *HashArrayList[T]) Contains(v T) (ok bool) {
+	if l.bag == nil {
+		return l.IndexOf(v) >= 0
+	}
+	_, ok = l.bag[v]
+	return
 }
 
 // IndexOf returns the index of the first occurrence of v, or -1. The bag
 // short-circuits the absent case; the present case is a linear scan.
 func (l *HashArrayList[T]) IndexOf(v T) int {
-	if _, ok := l.bag[v]; !ok {
-		return -1
+	if l.bag != nil {
+		if _, ok := l.bag[v]; !ok {
+			return -1
+		}
 	}
 	return indexOf(l.elems, v)
 }
@@ -129,8 +165,10 @@ func (l *HashArrayList[T]) ForEach(fn func(T) bool) {
 func (l *HashArrayList[T]) FootprintBytes() int {
 	var zero T
 	elem := sizeOf(zero)
-	array := sliceHeader + cap(l.elems)*elem
-	bagEntry := elem + 4 + wordBytes // key + count + bucket overhead share
-	bag := structBase + len(l.bag)*bagEntry*3/2
-	return structBase + array + bag
+	n := structBase + sliceHeader + cap(l.elems)*elem
+	if l.bag != nil {
+		bagEntry := elem + 4 + wordBytes // key + count + bucket overhead share
+		n += structBase + len(l.bag)*bagEntry*3/2
+	}
+	return n
 }

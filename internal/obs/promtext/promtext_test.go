@@ -253,3 +253,52 @@ func TestExpositionStructureStable(t *testing.T) {
 		t.Errorf("family set changed between renders:\n%v\n%v", a, b)
 	}
 }
+
+// FuzzPromtextParse feeds arbitrary bytes to Parse, seeded with a rendered
+// registry. Parse must return an error or families, never panic, and what
+// it accepts must keep its guarantees: each family has a valid name and
+// appears once, every family holding samples has HELP and TYPE, and each
+// sample belongs to its family's name. Validate must not panic on them.
+func FuzzPromtextParse(f *testing.F) {
+	r := obs.NewRegistry()
+	r.InstancesCreated.Add(7)
+	r.AnalysisLatency.Observe(0.002)
+	r.IncTransition("site\"with\\escapes\n", "list/array", "list/hasharray")
+	obs.NewRuntimeSampler(r).SampleOnce()
+	var rendered bytes.Buffer
+	if _, err := r.WriteTo(&rendered); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rendered.Bytes())
+	for _, seed := range []string{
+		"# HELP x_total a counter\n# TYPE x_total counter\nx_total{a=\"1\",b=\"\\\\\"} 3 1700000000\n",
+		"# HELP h a histogram\n# TYPE h histogram\nh_bucket{le=\"0.1\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum NaN\nh_count 2\n",
+		"# TYPE x gauge\nx 1\n",
+		"x{a=\"unterminated} 1\n",
+		"# HELP x h\n# TYPE x gauge\nx{a=\"\\q\"} -Inf\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fams, err := Parse(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		seen := make(map[string]bool, len(fams))
+		for _, fam := range fams {
+			if !validMetricName(fam.Name) || seen[fam.Name] {
+				t.Fatalf("accepted family name %q (seen before: %v)", fam.Name, seen[fam.Name])
+			}
+			seen[fam.Name] = true
+			if len(fam.Samples) > 0 && (fam.Help == "" || fam.Type == "") {
+				t.Fatalf("family %q holds samples without %s", fam.Name, missingMeta(fam))
+			}
+			for _, s := range fam.Samples {
+				if familyName(s.Name) != fam.Name {
+					t.Fatalf("sample %q filed under family %q", s.Name, fam.Name)
+				}
+			}
+		}
+		_ = Validate(fams)
+	})
+}

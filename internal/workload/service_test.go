@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -72,4 +73,43 @@ func TestServiceMixPickRespectsWeights(t *testing.T) {
 	if len(seen) != int(NumServiceOps) {
 		t.Errorf("zero mix covered %d/%d ops", len(seen), NumServiceOps)
 	}
+}
+
+// FuzzParseServicePhases feeds arbitrary specs to ParseServicePhases. It
+// must return an error or phases, never panic, and every schedule it
+// accepts has one phase per comma-separated part, each with a positive
+// duration and a known mix under its lower-cased, trimmed name.
+func FuzzParseServicePhases(f *testing.F) {
+	for _, seed := range []string{
+		"write:5s, read:250ms ,scan:1m",
+		" MIXED : 1h30m ",
+		"read:1ns,read:1ns",
+		"write:0s",
+		"write:-1s",
+		"tetris:5s",
+		"write:5s,,",
+		"scan:1e3s",
+		"read:9223372036854775807ns",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		phases, err := ParseServicePhases(spec)
+		if err != nil {
+			return
+		}
+		if parts := strings.Count(spec, ",") + 1; len(phases) != parts {
+			t.Fatalf("%q: %d phases for %d parts", spec, len(phases), parts)
+		}
+		for i, p := range phases {
+			if p.Duration <= 0 {
+				t.Fatalf("%q: phase %d lasts %v", spec, i, p.Duration)
+			}
+			mix, ok := MixByName(p.Name)
+			if !ok || mix != p.Mix || p.Name != strings.ToLower(strings.TrimSpace(p.Name)) {
+				t.Fatalf("%q: phase %d is %q (known mix: %v, mix matches: %v)", spec, i, p.Name, ok, mix == p.Mix)
+			}
+		}
+	})
 }
